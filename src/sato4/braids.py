@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .diagram import Crossing, LinkDiagram
+from .diagram import Crossing, LinkDiagram, find, union
 from .errors import DiagramError
 
 __all__ = ["braid_closure"]
@@ -40,21 +40,12 @@ def braid_closure(word: Sequence[int], strands: int) -> LinkDiagram:
         current[k], current[k + 1] = b_out, a_out
 
     # Close up: identify the final arc at each position with the initial one.
-    rename = {}
-
-    def find(x: int) -> int:
-        while x in rename:
-            x = rename[x]
-        return x
-
+    parent: dict[int, int] = {}
     markers = []
     for fin, ini in zip(current, initial):
-        a, b = find(fin), find(ini)
-        if a == b:
-            markers.append(a)  # untouched strand closes into a free circle
-        else:
-            rename[max(a, b)] = min(a, b)
-    quads = [tuple(find(a) for a in q) for q in quads]
+        if not union(parent, fin, ini):
+            markers.append(find(parent, fin))  # untouched strand closes into a free circle
+    quads = [tuple(find(parent, a) for a in q) for q in quads]
     markers = [m for m in markers if not any(m in q for q in quads)]
     crossings = [Crossing(i, q) for i, q in enumerate(quads, 1)]
     return LinkDiagram(crossings, markers)

@@ -201,22 +201,6 @@ class XLambdaModel:
         return len(self.records)
 
     @property
-    def b2_plus(self) -> int:
-        return self.n_plus
-
-    @property
-    def b2_minus(self) -> int:
-        return self.n_minus
-
-    @property
-    def h1_rank(self) -> int:
-        return 2
-
-    @property
-    def p1(self) -> int:
-        return 0
-
-    @property
     def w2_vector(self) -> tuple[int, ...]:
         return tuple(w for w, _ in self.records)
 
@@ -229,7 +213,7 @@ class XLambdaModel:
             "records": [{"w": w, "d": d} for w, d in self.records],
             "n_plus": self.n_plus,
             "n_minus": self.n_minus,
-            "p1": self.p1,
+            "p1": 0,  # the bundle is flat
         }
 
 

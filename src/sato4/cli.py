@@ -28,14 +28,7 @@ from .corpus import (
     verify_corpus,
 )
 from .diagram import parse_pd
-from .errors import (
-    CalibrationError,
-    CorpusError,
-    DiagramError,
-    PDSyntaxError,
-    Sato4Error,
-    ScriptError,
-)
+from .errors import PDSyntaxError, Sato4Error, ScriptError, ScriptSyntaxError
 from .movies import HomotopyScript, phi, run_script
 
 USAGE_ERROR = 2
@@ -77,12 +70,7 @@ def _cmd_conway(args) -> int:
 def _cmd_beta(args) -> int:
     d = _read_pd_argument(args.pd)
     cal = _load_cal(args.calibration)
-    try:
-        value = sato_levine_oracle(d, cal.s_cal)
-    except DiagramError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return CHECK_ERROR
-    print(value)
+    print(sato_levine_oracle(d, cal.s_cal))
     return 0
 
 
@@ -181,13 +169,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (PDSyntaxError, json.JSONDecodeError) as e:
+    except (PDSyntaxError, ScriptSyntaxError, json.JSONDecodeError) as e:
         print(f"parse error: {e}", file=sys.stderr)
         return USAGE_ERROR
     except FileNotFoundError as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
-    except (CalibrationError, CorpusError, Sato4Error) as e:
+    except Sato4Error as e:
         print(f"error: {e}", file=sys.stderr)
         return CHECK_ERROR
 

@@ -17,11 +17,44 @@ All coefficients are exact integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from .diagram import LinkDiagram
 from .errors import DiagramError
 
 __all__ = ["ConwayPoly", "conway", "sato_levine_oracle", "clear_memo"]
+
+
+# Integer polynomials as coefficient tuples: index = power, trailing zeros
+# trimmed.  ConwayPoly wraps one; Bareiss elimination in the seifert module
+# keeps a bare tuple per matrix entry, where a wrapper object per entry
+# would cost time.
+
+
+def poly_trim(p) -> tuple[int, ...]:
+    i = len(p)
+    while i and p[i - 1] == 0:
+        i -= 1
+    return tuple(p[:i])
+
+
+def poly_add(p, q) -> tuple[int, ...]:
+    return poly_trim([a + b for a, b in zip_longest(p, q, fillvalue=0)])
+
+
+def poly_sub(p, q) -> tuple[int, ...]:
+    return poly_trim([a - b for a, b in zip_longest(p, q, fillvalue=0)])
+
+
+def poly_mul(p, q) -> tuple[int, ...]:
+    if not p or not q:
+        return ()
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+    return poly_trim(out)
 
 
 @dataclass(frozen=True)
@@ -32,10 +65,7 @@ class ConwayPoly:
 
     @staticmethod
     def of(seq) -> "ConwayPoly":
-        coeffs = list(seq)
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        return ConwayPoly(tuple(coeffs))
+        return ConwayPoly(poly_trim(list(seq)))
 
     @staticmethod
     def zero() -> "ConwayPoly":
@@ -61,15 +91,13 @@ class ConwayPoly:
         return ConwayPoly((0,) * k + self.coeffs)
 
     def __add__(self, other: "ConwayPoly") -> "ConwayPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return ConwayPoly.of(self.coefficient(i) + other.coefficient(i) for i in range(n))
+        return ConwayPoly(poly_add(self.coeffs, other.coeffs))
 
     def __sub__(self, other: "ConwayPoly") -> "ConwayPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return ConwayPoly.of(self.coefficient(i) - other.coefficient(i) for i in range(n))
+        return ConwayPoly(poly_sub(self.coeffs, other.coeffs))
 
     def __neg__(self) -> "ConwayPoly":
-        return ConwayPoly(tuple(-c for c in self.coeffs))
+        return ConwayPoly(poly_sub((), self.coeffs))
 
     def as_list(self) -> list[int]:
         return list(self.coeffs)
@@ -97,16 +125,13 @@ def conway(d: LinkDiagram) -> ConwayPoly:
 
 
 def _compute(d: LinkDiagram) -> ConwayPoly:
-    k = d.component_count
-    if not d.crossings:
-        return ConwayPoly.one() if k == 1 else ConwayPoly.zero()
-    if d.markers:
+    if d.crossings and d.markers:
         # a crossingless component next to anything else: split link
         return ConwayPoly.zero()
-    cid = _first_violation(d)
+    cid = _first_violation(d) if d.crossings else None
     if cid is None:
-        # descending diagram: an unknot, or a split unlink
-        return ConwayPoly.one() if k == 1 else ConwayPoly.zero()
+        # crossingless or descending diagram: an unknot, or a split unlink
+        return ConwayPoly.one() if d.component_count == 1 else ConwayPoly.zero()
     switched = conway(d.switch(cid))
     smoothed = conway(d.smooth(cid)).shift(1)
     return switched + smoothed if d.sign(cid) > 0 else switched - smoothed

@@ -21,7 +21,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import DiagramError, PDSyntaxError
 
@@ -108,6 +108,46 @@ def _parse_lines(body: str) -> "LinkDiagram":
 def _build(quads: Sequence[tuple[int, int, int, int]], markers: Sequence[int]) -> "LinkDiagram":
     crossings = [Crossing(i, q) for i, q in enumerate(quads, 1)]
     return LinkDiagram(crossings, markers)
+
+
+def orbits(step: Callable, elements: Iterable) -> list[tuple]:
+    """The cycles of the permutation ``step`` of ``elements``.
+
+    Each cycle starts at its least element and the cycles come in order
+    of those elements.  A walk that revisits an element before closing
+    raises DiagramError.
+    """
+    seen: set = set()
+    cycles = []
+    for start in sorted(elements):
+        if start in seen:
+            continue
+        cyc = [start]
+        seen.add(start)
+        x = step(start)
+        while x != start:
+            if x in seen:
+                raise DiagramError("successor relation does not close into cycles")
+            cyc.append(x)
+            seen.add(x)
+            x = step(x)
+        cycles.append(tuple(cyc))
+    return cycles
+
+
+def find(parent: dict[int, int], x: int) -> int:
+    """The class of x in a union-find forest; each class is named by its least member."""
+    while parent.setdefault(x, x) != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def union(parent: dict[int, int], x: int, y: int) -> bool:
+    """Merge the classes of x and y; False when they were one class already."""
+    a, b = find(parent, x), find(parent, y)
+    parent[max(a, b)] = min(a, b)
+    return a != b
 
 
 class LinkDiagram:
@@ -217,28 +257,10 @@ class LinkDiagram:
                 self._head[arc], self._tail[arc] = q, p
 
     def _trace_components(self) -> None:
-        succ = {}
+        succ = {m: m for m in self.markers}  # a marker is a one-element cycle
         for arc, (cid, slot) in self._head.items():
             succ[arc] = self._by_id[cid].arcs[(slot + 2) % 4]
-        self.successor = succ
-        cycles = []
-        seen: set[int] = set()
-        for start in sorted(succ):
-            if start in seen:
-                continue
-            cyc = [start]
-            seen.add(start)
-            a = succ[start]
-            while a != start:
-                if a in seen:
-                    raise DiagramError("successor relation does not close into cycles")
-                cyc.append(a)
-                seen.add(a)
-                a = succ[a]
-            cycles.append(tuple(cyc))
-        components = cycles + [(m,) for m in self.markers]
-        components.sort(key=lambda cyc: cyc[0])
-        self.components: tuple[tuple[int, ...], ...] = tuple(components)
+        self.components: tuple[tuple[int, ...], ...] = tuple(orbits(succ.__getitem__, succ))
         self._component_of = {}
         for idx, cyc in enumerate(self.components, 1):
             for arc in cyc:
@@ -289,6 +311,11 @@ class LinkDiagram:
     def tail(self, arc: int) -> tuple[int, int]:
         return self._tail[arc]
 
+    def corner(self, da: tuple[int, bool]) -> tuple[int, int]:
+        """The (crossing, slot) where the directed arc (arc, forward) ends."""
+        arc, fwd = da
+        return self._head[arc] if fwd else self._tail[arc]
+
     def fresh_arc_ids(self, n: int) -> list[int]:
         top = max(itertools.chain(self._positions, self.markers, [0]))
         return [top + i for i in range(1, n + 1)]
@@ -313,14 +340,6 @@ class LinkDiagram:
         if total % 2:
             raise DiagramError("odd inter-component crossing sum; diagram is not a closed-curve projection")
         return total // 2
-
-    def self_writhe(self, i: int) -> int:
-        total = 0
-        for c in self.crossings:
-            under, over = self.strand_components(c.id)
-            if under == over == i:
-                total += self.sign(c.id)
-        return total
 
     # -- local operations ----------------------------------------------------
 
@@ -381,7 +400,6 @@ class LinkDiagram:
         glue: Iterable[tuple[int, int]] = (),
         drop_markers: Iterable[int] = (),
         new_crossings: Iterable[Crossing] = (),
-        new_markers: Iterable[int] = (),
         new_hints: dict[tuple[int, int], bool] | None = None,
         replace: dict[tuple[int, int], int] | None = None,
     ) -> "LinkDiagram":
@@ -396,31 +414,20 @@ class LinkDiagram:
         """
         removed = set(remove)
         parent: dict[int, int] = {}
-
-        def find(x: int) -> int:
-            parent.setdefault(x, x)
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        glue = list(glue)
         for x, y in glue:
-            parent[find(x)] = find(y)
+            union(parent, x, y)
         classes: dict[int, list[int]] = {}
         for x in parent:
-            classes.setdefault(find(x), []).append(x)
-
+            classes.setdefault(find(parent, x), []).append(x)
         rename: dict[int, int] = {}
         markers = [m for m in self.markers if m not in set(drop_markers)]
-        for members in classes.values():
+        for rep, members in classes.items():
             remaining = sum(
                 1
                 for arc in members
                 for (cid, _slot) in self._positions[arc]
                 if cid not in removed
             )
-            rep = min(members)
             if remaining == 0:
                 markers.append(rep)
                 # such a class must chain head-to-tail into closed loops
@@ -442,7 +449,6 @@ class LinkDiagram:
             if c.id not in removed
         ]
         kept.extend(new_crossings)
-        markers.extend(new_markers)
         hints = {
             pos: is_in
             for pos, is_in in self._carried_hints().items()
@@ -462,26 +468,13 @@ class LinkDiagram:
         slot s-1 (mod 4).  Markers take part in no face.
         """
         def next_da(da: tuple[int, bool]) -> tuple[int, bool]:
-            arc, fwd = da
-            cid, slot = self._head[arc] if fwd else self._tail[arc]
+            cid, slot = self.corner(da)
             out_slot = (slot - 1) % 4
             nxt = self._by_id[cid].arcs[out_slot]
             return (nxt, self._tail[nxt] == (cid, out_slot))
 
-        todo = {(arc, fwd) for arc in self._positions for fwd in (True, False)}
-        faces = []
-        while todo:
-            start = min(todo)
-            walk = [start]
-            todo.discard(start)
-            cur = next_da(start)
-            while cur != start:
-                walk.append(cur)
-                todo.discard(cur)
-                cur = next_da(cur)
-            faces.append(tuple(walk))
-        faces.sort()
-        return tuple(faces)
+        directed = [(arc, fwd) for arc in self._positions for fwd in (True, False)]
+        return tuple(orbits(next_da, directed))
 
     def connected(self) -> bool:
         """True when the underlying 4-valent graph has a single piece."""
@@ -489,18 +482,9 @@ class LinkDiagram:
             return len(self.markers) == 1
         if self.markers:
             return False
-        cid_of_root: dict[int, int] = {}
-        parent = {c.id: c.id for c in self.crossings}
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for arc, ((c1, _), (c2, _)) in self._positions.items():
-            parent[find(c1)] = find(c2)
-        return len({find(c.id) for c in self.crossings}) == 1
+        parent: dict[int, int] = {}
+        merges = sum(union(parent, c1, c2) for (c1, _), (c2, _) in self._positions.values())
+        return merges == len(self.crossings) - 1
 
     # -- encodings -------------------------------------------------------------
 

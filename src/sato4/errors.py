@@ -21,6 +21,10 @@ class MoveError(Sato4Error):
     """A Reidemeister move or crossing change is not applicable at its site."""
 
 
+class ScriptSyntaxError(Sato4Error):
+    """A movie script's JSON does not follow the script schema."""
+
+
 class ScriptError(Sato4Error):
     """A homotopy script failed validation.
 

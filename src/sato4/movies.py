@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import rewrites
 from .diagram import LinkDiagram, parse_pd
-from .errors import MoveError, ScriptError
+from .errors import MoveError, ScriptError, ScriptSyntaxError
 
 __all__ = [
     "Move",
@@ -30,7 +30,17 @@ __all__ = [
     "beta_engine",
 ]
 
-MOVE_KINDS = ("r1_add", "r1_remove", "r2_add", "r2_remove", "r3", "sc")
+# kind -> its JSON fields in output order, as (name, type, required); an
+# optional field takes the Move default.  A list field holds integers and
+# becomes a tuple on the Move.
+_FIELDS = {
+    "r1_add": (("arc", int, True), ("sign", int, False), ("over_first", bool, False)),
+    "r1_remove": (("crossing", int, True),),
+    "r2_add": (("arcs", list, True), ("over", bool, False)),
+    "r2_remove": (("crossings", list, True),),
+    "r3": (("crossings", list, True),),
+    "sc": (("crossing", int, True),),
+}
 
 
 @dataclass(frozen=True)
@@ -47,41 +57,38 @@ class Move:
     over: bool = True
 
     def __post_init__(self):
-        if self.kind not in MOVE_KINDS:
+        if self.kind not in _FIELDS:
             raise MoveError(f"unknown move kind {self.kind!r}")
 
     def to_json(self) -> dict:
         out: dict = {"kind": self.kind}
-        if self.kind in ("sc", "r1_remove"):
-            out["crossing"] = self.crossing
-        elif self.kind == "r1_add":
-            out.update(arc=self.arc, sign=self.sign, over_first=self.over_first)
-        elif self.kind == "r2_add":
-            out.update(arcs=list(self.arcs), over=self.over)
-        elif self.kind == "r2_remove":
-            out["crossings"] = list(self.crossings)
-        elif self.kind == "r3":
-            out["crossings"] = list(self.crossings)
+        for name, typ, _ in _FIELDS[self.kind]:
+            value = getattr(self, name)
+            out[name] = list(value) if typ is list else value
         return out
 
     @staticmethod
-    def from_json(obj: dict) -> "Move":
+    def from_json(obj) -> "Move":
+        if not isinstance(obj, dict):
+            raise ScriptSyntaxError(f"a move must be a JSON object, got {obj!r}")
         kind = obj.get("kind")
-        if kind in ("sc", "r1_remove"):
-            return Move(kind, crossing=int(obj["crossing"]))
-        if kind == "r1_add":
-            return Move(
-                kind,
-                arc=int(obj["arc"]),
-                sign=int(obj.get("sign", 1)),
-                over_first=bool(obj.get("over_first", True)),
-            )
-        if kind == "r2_add":
-            x, y = obj["arcs"]
-            return Move(kind, arcs=(int(x), int(y)), over=bool(obj.get("over", True)))
-        if kind in ("r2_remove", "r3"):
-            return Move(kind, crossings=tuple(int(c) for c in obj["crossings"]))
-        raise MoveError(f"unknown move kind {kind!r}")
+        if kind not in _FIELDS:
+            raise ScriptSyntaxError(f"unknown move kind {kind!r}")
+        values = {}
+        for name, typ, required in _FIELDS[kind]:
+            if name in obj:
+                values[name] = _field_value(kind, name, typ, obj[name])
+            elif required:
+                raise ScriptSyntaxError(f"{kind} move lacks field {name!r}")
+        return Move(kind, **values)
+
+
+def _field_value(kind: str, name: str, typ: type, value):
+    """A JSON field value checked against its type; integer lists become tuples."""
+    if type(value) is not typ or (typ is list and any(type(v) is not int for v in value)):
+        want = "a list of int" if typ is list else typ.__name__
+        raise ScriptSyntaxError(f"{kind} move: field {name!r} must be {want}, got {value!r}")
+    return tuple(value) if typ is list else value
 
 
 @dataclass(frozen=True)
@@ -115,7 +122,15 @@ class HomotopyScript:
         return {"link": self.link, "moves": [m.to_json() for m in self.moves]}
 
     @staticmethod
-    def from_json(obj: dict, name: str = "") -> "HomotopyScript":
+    def from_json(obj, name: str = "") -> "HomotopyScript":
+        if not (
+            isinstance(obj, dict)
+            and isinstance(obj.get("link"), str)
+            and isinstance(obj.get("moves", []), list)
+        ):
+            raise ScriptSyntaxError(
+                'a script must be a JSON object with a "link" string and a "moves" list'
+            )
         return HomotopyScript(
             link=obj["link"],
             moves=tuple(Move.from_json(m) for m in obj.get("moves", ())),
@@ -142,37 +157,32 @@ class MovieResult:
 
 def apply_move(d: LinkDiagram, m: Move) -> LinkDiagram:
     """Apply one move, validating its site; linking numbers are preserved."""
+    return _apply(d, m)[0]
+
+
+def _apply(d: LinkDiagram, m: Move) -> tuple[LinkDiagram, SelfIntersectionRecord | None]:
+    """The diagram after one move, with the record of a crossing change (None for others)."""
+    if m.kind == "sc":
+        return record_self_crossing_change(d, m.crossing)
     if m.kind == "r1_add":
-        return rewrites.add_kink(d, m.arc, m.sign, m.over_first)
-    if m.kind == "r1_remove":
-        return rewrites.remove_kink(d, m.crossing)
-    if m.kind == "r2_add":
-        return _apply_r2_add(d, m)
-    if m.kind == "r2_remove":
+        new = rewrites.add_kink(d, m.arc, m.sign, m.over_first)
+    elif m.kind == "r1_remove":
+        new = rewrites.remove_kink(d, m.crossing)
+    elif m.kind == "r2_add":
+        if len(m.arcs) != 2:
+            raise MoveError("r2_add takes two arc ids")
+        new = rewrites.add_r2(d, *m.arcs, m.over)
+    elif m.kind == "r2_remove":
         if len(m.crossings) != 2:
             raise MoveError("r2_remove takes two crossing ids")
-        return rewrites.remove_r2(d, *m.crossings)
-    if m.kind == "r3":
+        new = rewrites.remove_r2(d, *m.crossings)
+    elif m.kind == "r3":
         if len(m.crossings) != 3:
             raise MoveError("r3 takes three crossing ids")
-        return rewrites.slide_r3(d, tuple(m.crossings))
-    if m.kind == "sc":
-        new, _record = record_self_crossing_change(d, m.crossing)
-        return new
-    raise MoveError(f"unknown move kind {m.kind!r}")
-
-
-def _apply_r2_add(d: LinkDiagram, m: Move) -> LinkDiagram:
-    x, y = m.arcs
-    if x == y:
-        raise MoveError("r2_add needs two distinct arcs")
-    for face in d.faces:
-        da_x = next((da for da in face if da[0] == x), None)
-        da_y = next((da for da in face if da[0] == y), None)
-        if da_x and da_y:
-            new, _ = rewrites.insert_r2(d, da_x, da_y, m.over)
-            return new
-    raise MoveError(f"arcs {x} and {y} do not cobound a face")
+        new = rewrites.slide_r3(d, tuple(m.crossings))
+    else:
+        raise MoveError(f"unknown move kind {m.kind!r}")
+    return new, None
 
 
 def smoothing_loop_linking(d: LinkDiagram, cid: int) -> tuple[int, int]:
@@ -210,16 +220,9 @@ def record_self_crossing_change(
     (the loop with the smallest identifier; the other loop negates lambda
     and keeps its parity).
     """
-    if d.component_count != 2:
-        raise MoveError(f"need exactly 2 components, got {d.component_count}")
-    if not d.is_self_crossing(cid):
-        raise MoveError(
-            f"crossing {cid} joins distinct components; "
-            "changing it would break disc disjointness"
-        )
+    lam, lam_other = smoothing_loop_linking(d, cid)
     if d.linking_number(1, 2) != 0:
         raise MoveError("crossing changes are only recorded at linking number 0")
-    lam, lam_other = smoothing_loop_linking(d, cid)
     if (lam + lam_other) != 0:
         raise MoveError("smoothing loops do not balance; inconsistent diagram")
     eps = d.sign(cid)
@@ -239,13 +242,11 @@ def run_script(script: HomotopyScript, diagram: LinkDiagram | None = None) -> Mo
     records: list[SelfIntersectionRecord] = []
     for idx, m in enumerate(script.moves):
         try:
-            if m.kind == "sc":
-                d, rec = record_self_crossing_change(d, m.crossing)
-                records.append(rec)
-            else:
-                d = apply_move(d, m)
+            d, record = _apply(d, m)
         except MoveError as e:
             raise ScriptError(f"move {idx} ({m.kind}) failed: {e}", move_index=idx) from e
+        if record is not None:
+            records.append(record)
     if d.crossings or d.component_count != 2:
         raise ScriptError(
             f"script does not close the discs: final diagram {d.serialize()}"

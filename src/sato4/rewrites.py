@@ -137,17 +137,29 @@ def insert_r2(
     picture where the face walk runs x eastward below and y westward
     above.
     """
+    if da_x[0] == da_y[0]:
+        raise MoveError("cannot slide an arc across itself")
+    if not any(da_x in f and da_y in f for f in d.faces):
+        raise MoveError(f"arcs {da_x[0]} and {da_y[0]} do not cobound a face")
+    return _slide_r2(d, da_x, da_y, x_over)
+
+
+def add_r2(d: LinkDiagram, x: int, y: int, x_over: bool) -> LinkDiagram:
+    """R2 between two arcs named without direction, across the first face they share."""
+    if x == y:
+        raise MoveError("r2_add needs two distinct arcs")
+    for face in d.faces:
+        da_x = next((da for da in face if da[0] == x), None)
+        da_y = next((da for da in face if da[0] == y), None)
+        if da_x and da_y:
+            return _slide_r2(d, da_x, da_y, x_over)[0]
+    raise MoveError(f"arcs {x} and {y} do not cobound a face")
+
+
+def _slide_r2(d: LinkDiagram, da_x: tuple[int, bool], da_y: tuple[int, bool], x_over: bool):
+    """The surgery of insert_r2 on two checked steps of one face."""
     x, dx = da_x
     y, dy = da_y
-    if x == y:
-        raise MoveError("cannot slide an arc across itself")
-    face = None
-    for f in d.faces:
-        if da_x in f and da_y in f:
-            face = f
-            break
-    if face is None:
-        raise MoveError(f"arcs {x} and {y} do not cobound a face")
     x2, y2, m1, m2 = d.fresh_arc_ids(4)
     cw = d.fresh_crossing_id()
     ce = cw + 1
@@ -182,41 +194,39 @@ def insert_r2(
 
 def find_bigons(d: LinkDiagram) -> list[tuple[int, int]]:
     """Corner pairs of faces bounded by exactly two arcs."""
-    out = []
+    return sorted(bigon_arcs(d))
+
+
+def bigon_arcs(d: LinkDiagram) -> dict[tuple[int, int], tuple[int, int]]:
+    """Corner pair -> the two arcs, for the first bigon face at each pair of crossings."""
+    out: dict[tuple[int, int], tuple[int, int]] = {}
     for f in d.faces:
-        if len(f) != 2:
-            continue
-        (a1, f1), (a2, f2) = f
-        c1 = d.head(a1)[0] if f1 else d.tail(a1)[0]
-        c2 = d.head(a2)[0] if f2 else d.tail(a2)[0]
-        if c1 != c2:
-            out.append(tuple(sorted((c1, c2))))
-    return sorted(set(out))
+        if len(f) == 2:
+            c1, c2 = (d.corner(da)[0] for da in f)
+            if c1 != c2:
+                out.setdefault((min(c1, c2), max(c1, c2)), (f[0][0], f[1][0]))
+    return out
+
+
+def is_clasp(d: LinkDiagram, bigon: tuple[int, int]) -> bool:
+    """Whether a bigon's arcs fail to run one over and one under at both corners."""
+
+    def levels(arc: int) -> set[bool]:
+        return {slot % 2 == 1 for _, slot in (d.head(arc), d.tail(arc))}
+
+    lv1, lv2 = levels(bigon[0]), levels(bigon[1])
+    return not (len(lv1) == 1 and len(lv2) == 1 and lv1 != lv2)
 
 
 def remove_r2(d: LinkDiagram, cid1: int, cid2: int) -> LinkDiagram:
     """R2: delete a bigon whose strands pass cleanly over/under."""
     if cid1 == cid2:
         raise MoveError("need two distinct crossings")
-    pair = tuple(sorted((cid1, cid2)))
-    bigon = None
-    for f in d.faces:
-        if len(f) != 2:
-            continue
-        (a1, f1), (a2, f2) = f
-        c1 = d.head(a1)[0] if f1 else d.tail(a1)[0]
-        c2 = d.head(a2)[0] if f2 else d.tail(a2)[0]
-        if tuple(sorted((c1, c2))) == pair and a1 != a2:
-            bigon = (a1, a2)
-            break
+    pair = (min(cid1, cid2), max(cid1, cid2))
+    bigon = bigon_arcs(d).get(pair)
     if bigon is None:
         raise MoveError(f"crossings {cid1},{cid2} do not cobound a bigon")
-
-    def levels(arc: int) -> set[bool]:
-        return {slot % 2 == 1 for _, slot in (d.head(arc), d.tail(arc))}
-
-    lv1, lv2 = levels(bigon[0]), levels(bigon[1])
-    if not (len(lv1) == 1 and len(lv2) == 1 and lv1 != lv2):
+    if is_clasp(d, bigon):
         raise MoveError("bigon is a clasp, not a reducible pair")
     glue = []
     for arc in bigon:
@@ -233,25 +243,18 @@ def remove_r2(d: LinkDiagram, cid1: int, cid2: int) -> LinkDiagram:
 
 def find_triangles(d: LinkDiagram) -> list[tuple[int, int, int]]:
     """Corner triples of triangular faces admitting a slide."""
-    out = []
+    return sorted(_slidable_triangles(d))
+
+
+def _slidable_triangles(d: LinkDiagram) -> dict[tuple[int, int, int], tuple]:
+    """Sorted corner triple -> the first face with those three corners admitting a slide."""
+    out: dict[tuple[int, int, int], tuple] = {}
     for f in d.faces:
-        corners = _triangle_corners(d, f)
-        if corners is not None and _r3_pattern_ok(d, f):
-            out.append(tuple(sorted(corners)))
-    return sorted(set(out))
-
-
-def _triangle_corners(d: LinkDiagram, face) -> list[int] | None:
-    if len(face) != 3:
-        return None
-    corners = []
-    arcs = set()
-    for arc, fwd in face:
-        corners.append((d.head(arc) if fwd else d.tail(arc))[0])
-        arcs.add(arc)
-    if len(set(corners)) != 3 or len(arcs) != 3:
-        return None
-    return corners
+        if len(f) == 3 and len({arc for arc, _ in f}) == 3:
+            corners = tuple(sorted(d.corner(da)[0] for da in f))
+            if len(set(corners)) == 3 and _r3_pattern_ok(d, f):
+                out.setdefault(corners, f)
+    return out
 
 
 def _passages(d: LinkDiagram, face):
@@ -260,16 +263,7 @@ def _passages(d: LinkDiagram, face):
     Step i's arc connects corner i-1 (departure slot) to corner i
     (arrival slot).
     """
-    arrive = []
-    for arc, fwd in face:
-        arrive.append(d.head(arc) if fwd else d.tail(arc))
-    out = []
-    for i in range(3):
-        prev_c, prev_s = arrive[i - 1]
-        depart = (prev_s - 1) % 4
-        this_c, this_s = arrive[i]
-        out.append(((prev_c, depart), (this_c, this_s)))
-    return out
+    return [(d.corner((arc, not fwd)), d.corner((arc, fwd))) for arc, fwd in face]
 
 
 def _r3_pattern_ok(d: LinkDiagram, face) -> bool:
@@ -284,14 +278,10 @@ def slide_r3(d: LinkDiagram, cids: tuple[int, int, int]) -> LinkDiagram:
     want = tuple(sorted(cids))
     if len(set(want)) != 3:
         raise MoveError("need three distinct crossings")
-    for f in d.faces:
-        corners = _triangle_corners(d, f)
-        if corners is None or tuple(sorted(corners)) != want:
-            continue
-        if not _r3_pattern_ok(d, f):
-            continue
-        return _apply_r3(d, f)
-    raise MoveError(f"no slidable triangle with corners {want}")
+    face = _slidable_triangles(d).get(want)
+    if face is None:
+        raise MoveError(f"no slidable triangle with corners {want}")
+    return _apply_r3(d, face)
 
 
 def _apply_r3(d: LinkDiagram, face) -> LinkDiagram:

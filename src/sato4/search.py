@@ -44,12 +44,10 @@ def enumerate_moves(
     for c in d.crossings:
         if rewrites.kink_loop(d, c.id) is not None:
             moves.append(Move("r1_remove", crossing=c.id))
-    for c1, c2 in rewrites.find_bigons(d):
-        try:
-            rewrites.remove_r2(d, c1, c2)
-        except MoveError:
-            continue
-        moves.append(Move("r2_remove", crossings=(c1, c2)))
+    bigons = rewrites.bigon_arcs(d)
+    for pair in sorted(bigons):
+        if not rewrites.is_clasp(d, bigons[pair]):
+            moves.append(Move("r2_remove", crossings=pair))
     if include_r3:
         for tri in rewrites.find_triangles(d):
             moves.append(Move("r3", crossings=tri))

@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .conway import ConwayPoly
-from .diagram import LinkDiagram
+from .conway import ConwayPoly, poly_mul, poly_sub, poly_trim
+from .diagram import LinkDiagram, orbits
 from .errors import SeifertError
 from .rewrites import insert_r2
 
@@ -49,10 +49,6 @@ class SeifertMatrix:
     def size(self) -> int:
         return len(self.rows)
 
-    def transpose(self) -> "SeifertMatrix":
-        n = self.size
-        return SeifertMatrix(tuple(tuple(self.rows[j][i] for j in range(n)) for i in range(n)))
-
 
 # -- Seifert circles ----------------------------------------------------------
 
@@ -70,20 +66,7 @@ def _smoothed_next(d: LinkDiagram, arc: int) -> int:
 
 def seifert_circles(d: LinkDiagram) -> list[tuple[int, ...]]:
     """The cycles of arcs obtained by smoothing every crossing."""
-    seen: set[int] = set()
-    circles = []
-    for start in sorted(d.arcs):
-        if start in seen:
-            continue
-        cyc = [start]
-        seen.add(start)
-        a = _smoothed_next(d, start)
-        while a != start:
-            cyc.append(a)
-            seen.add(a)
-            a = _smoothed_next(d, a)
-        circles.append(tuple(cyc))
-    return circles
+    return orbits(lambda arc: _smoothed_next(d, arc), d.arcs)
 
 
 # -- Vogel moves to braid form -------------------------------------------------
@@ -258,29 +241,6 @@ def seifert_matrix(d: LinkDiagram) -> SeifertMatrix:
 # -- exact determinant route -------------------------------------------------------
 
 
-def _trim(p: tuple[int, ...]) -> tuple[int, ...]:
-    i = len(p)
-    while i and p[i - 1] == 0:
-        i -= 1
-    return tuple(p[:i])
-
-
-def _p_mul(p, q):
-    if not p or not q:
-        return ()
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return _trim(out)
-
-
-def _p_sub(p, q):
-    n = max(len(p), len(q))
-    return _trim(tuple((p[i] if i < len(p) else 0) - (q[i] if i < len(q) else 0) for i in range(n)))
-
-
 def _p_div_exact(p, q):
     """Exact division in Z[u]; raises if the quotient is not integral."""
     if not q:
@@ -300,7 +260,7 @@ def _p_div_exact(p, q):
                 rem[k + j] -= f * b
     if any(rem):
         raise SeifertError("non-exact polynomial division")
-    return _trim(out)
+    return poly_trim(out)
 
 
 def _det_poly(M: list[list[tuple[int, ...]]]) -> tuple[int, ...]:
@@ -322,24 +282,22 @@ def _det_poly(M: list[list[tuple[int, ...]]]) -> tuple[int, ...]:
                 return ()
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                num = _p_sub(_p_mul(M[i][j], M[k][k]), _p_mul(M[i][k], M[k][j]))
+                num = poly_sub(poly_mul(M[i][j], M[k][k]), poly_mul(M[i][k], M[k][j]))
                 M[i][j] = _p_div_exact(num, prev)
             M[i][k] = ()
         prev = M[k][k]
     det = M[n - 1][n - 1]
-    return det if sign > 0 else _trim(tuple(-c for c in det))
+    return det if sign > 0 else poly_sub((), det)
 
 
 def conway_from_seifert(V: SeifertMatrix) -> ConwayPoly:
     """det(x V - x^{-1} V^T) rewritten as a polynomial in z = x - x^{-1}."""
-    if isinstance(V, (list, tuple)):
-        V = SeifertMatrix(tuple(tuple(row) for row in V))
     n = V.size
     if n == 0:
         return ConwayPoly.one()
     # multiply every entry by x: entries become polynomials in u = x^2,
     # and det(xV - x^{-1}V^T) = P(x^2) / x^n
-    M = [[_trim((-V.rows[j][i], V.rows[i][j])) for j in range(n)] for i in range(n)]
+    M = [[poly_trim((-V.rows[j][i], V.rows[i][j])) for j in range(n)] for i in range(n)]
     P = _det_poly(M)
     laurent: dict[int, int] = {}
     for e, c in enumerate(P):

@@ -14,9 +14,10 @@ from sato4.corpus import (
     calibrate_movies,
     load_calibration,
     load_corpus,
+    load_entry,
     verify_corpus,
 )
-from sato4.errors import CalibrationError, CorpusError
+from sato4.errors import CalibrationError, CorpusError, ScriptSyntaxError
 
 
 def test_corpus_loads_with_declared_invariants(corpus):
@@ -170,6 +171,38 @@ def test_cli_phi_corrupted_script(capsys, tmp_path, corpus_dir):
 
 def test_cli_parse_error_is_usage_error(capsys):
     assert main(["conway", "PD[X[1,2,3]]"]) == 2
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"link": "PD[X[1,2,3,4]]", "moves": [{"kind": "sc"}]},  # missing field
+        {"link": "PD[X[1,2,3,4]]", "moves": [{"kind": "sc", "crossing": "1"}]},
+        {"link": "PD[X[1,2,3,4]]", "moves": [{"kind": "r3", "crossings": [1, 2.5, 3]}]},
+        {"link": "PD[X[1,2,3,4]]", "moves": [{"kind": "r1_add", "arc": 1, "over_first": 1}]},
+        {"link": "PD[X[1,2,3,4]]", "moves": [{"kind": "twist", "crossing": 1}]},
+        {"link": "PD[X[1,2,3,4]]", "moves": [["sc", 1]]},
+        {"link": "PD[X[1,2,3,4]]", "moves": {"kind": "sc"}},
+        {"moves": []},
+        [1, 2],
+        "PD[X[1,2,3,4]]",
+    ],
+)
+def test_cli_phi_malformed_script_is_parse_error(capsys, tmp_path, payload):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    assert main(["phi", "--script", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("parse error:")
+
+
+def test_load_entry_rejects_malformed_script(tmp_path, corpus_dir):
+    shutil.copytree(corpus_dir / "whitehead", tmp_path / "whitehead")
+    script = tmp_path / "whitehead" / "scripts" / "a.json"
+    payload = json.loads(script.read_text())
+    del payload["moves"][0]["crossing"]
+    script.write_text(json.dumps(payload))
+    with pytest.raises(ScriptSyntaxError, match="lacks field 'crossing'"):
+        load_entry(tmp_path / "whitehead")
 
 
 def test_cli_verify_roundtrip(tmp_path, corpus_dir, capsys):

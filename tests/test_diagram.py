@@ -255,3 +255,19 @@ def test_component_indexing_by_smallest_arc():
     d = parse_pd("PD[X[7,10,8,11],X[9,12,10,7],X[11,8,12,9]] U[1]")
     assert d.components[0] == (1,)
     assert d.component_of(7) == 2
+
+
+@pytest.mark.parametrize(
+    "word, strands, pd",
+    [
+        ([1, -2, 1, -2], 3, "PD[X[2,4,5,1], X[4,3,6,7], X[7,8,1,5], X[8,6,3,2]]"),
+        ([1, 1], 3, "PD[X[2,4,5,1], X[4,2,1,5], U[3]]"),
+        ([2, -1, 2, 3, -3], 4, "PD[X[3,5,6,2], X[1,6,7,1], X[5,9,2,7], X[4,11,12,9], X[12,11,4,3]]"),
+        ([-1, -1, -1], 2, "PD[X[1,2,3,4], X[4,3,5,6], X[6,5,2,1]]"),
+        ([], 2, "PD[U[1], U[2]]"),
+    ],
+)
+def test_braid_closure_arc_numbering_is_pinned(word, strands, pd):
+    # each closed-up arc is named by the least id among the arcs it joins;
+    # an untouched strand becomes a U[..] marker
+    assert braid_closure(word, strands).serialize() == pd

@@ -52,3 +52,25 @@ def test_enumerate_moves_sites_apply():
     assert moves
     for m in moves[:40]:
         apply_move(d, m)
+
+
+def test_enumerate_lists_exactly_the_removable_bigons():
+    import random
+
+    from sato4.errors import MoveError
+    from sato4.rewrites import find_bigons, remove_r2
+
+    rng = random.Random(3)
+    seen = {True: 0, False: 0}
+    for _ in range(40):
+        d = braid_closure([rng.choice((1, -1)) * rng.randint(1, 2) for _ in range(8)], 3)
+        listed = {m.crossings for m in enumerate_moves(d) if m.kind == "r2_remove"}
+        for pair in find_bigons(d):
+            try:
+                remove_r2(d, *pair)
+                removable = True
+            except MoveError:
+                removable = False
+            assert (pair in listed) == removable
+            seen[removable] += 1
+    assert seen[True] and seen[False]  # both reducible bigons and clasps occurred
