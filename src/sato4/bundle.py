@@ -22,12 +22,10 @@ from .movies import MovieResult, phi
 __all__ = [
     "V4Element",
     "V4",
-    "v4_multiply",
     "TorusRep",
     "TorusClass",
     "torus_w2_cup",
     "torus_w2_surjectivity",
-    "Mod4",
     "XLambdaModel",
     "glue_movies",
     "pontryagin_square",
@@ -66,10 +64,6 @@ class V4:
     X2 = V4Element((-1, 1, -1))
     X3 = V4Element((-1, -1, 1))
     ALL = (E, X1, X2, X3)
-
-
-def v4_multiply(g: V4Element, h: V4Element) -> V4Element:
-    return g * h
 
 
 @dataclass(frozen=True)
@@ -143,34 +137,6 @@ def torus_w2_surjectivity(rep: TorusRep) -> int:
     return 1
 
 
-class Mod4(int):
-    """An element of Z/4Z with wrapped ring arithmetic."""
-
-    def __new__(cls, value: int):
-        return super().__new__(cls, value % 4)
-
-    def __add__(self, other):
-        return Mod4(int(self) + int(other))
-
-    def __radd__(self, other):
-        return Mod4(int(other) + int(self))
-
-    def __sub__(self, other):
-        return Mod4(int(self) - int(other))
-
-    def __rsub__(self, other):
-        return Mod4(int(other) - int(self))
-
-    def __mul__(self, other):
-        return Mod4(int(self) * int(other))
-
-    def __rmul__(self, other):
-        return Mod4(int(other) * int(self))
-
-    def __neg__(self):
-        return Mod4(-int(self))
-
-
 @dataclass(frozen=True)
 class XLambdaModel:
     """Abstract algebraic topology of the surgered glued 4-manifold.
@@ -233,11 +199,11 @@ def glue_movies(m1: MovieResult, m2: MovieResult, e_cal: int = 1) -> XLambdaMode
     return XLambdaModel(tuple(records))
 
 
-def pontryagin_square(v: Sequence[int], form: Sequence[int]) -> Mod4:
+def pontryagin_square(v: Sequence[int], form: Sequence[int]) -> int:
     """Mod-4 square of an integral lift of v against a diagonal form.
 
     Cross terms vanish on a diagonal basis, so this is the exact integer
-    sum of v_p^2 d_p reduced mod 4.
+    sum of v_p^2 d_p reduced mod 4, a residue in 0..3.
     """
     v = tuple(v)
     form = tuple(form)
@@ -247,20 +213,20 @@ def pontryagin_square(v: Sequence[int], form: Sequence[int]) -> Mod4:
         raise ValueError("w2 vector entries are bits")
     if any(d not in (1, -1) for d in form):
         raise ValueError("form entries are +1 or -1")
-    return Mod4(sum(x * x * d for x, d in zip(v, form)))
+    return sum(x * x * d for x, d in zip(v, form)) % 4
 
 
 def dold_whitney_realizable(a: int, v: Sequence[int], form: Sequence[int]) -> bool:
     """Whether a bundle with p1-reduction a and w2-vector v exists over the model."""
-    return Mod4(a) == pontryagin_square(v, form)
+    return a % 4 == pontryagin_square(v, form)
 
 
 @dataclass(frozen=True)
 class GluingReport:
     """Executable content of the gluing identity for one pair of movies."""
 
-    pontryagin: Mod4
-    delta_phi: Mod4
+    pontryagin: int        # Z/4 values as residues 0..3
+    delta_phi: int
     identity_ok: bool      # pontryagin square equals phi1 - phi2
     vanishing_ok: bool     # ... and is zero, p1 being zero by flatness
     realizable_ok: bool    # the zero class with this w2 vector is realizable
@@ -272,8 +238,8 @@ class GluingReport:
 
     def to_json(self) -> dict:
         return {
-            "pontryagin_square": int(self.pontryagin),
-            "delta_phi": int(self.delta_phi),
+            "pontryagin_square": self.pontryagin,
+            "delta_phi": self.delta_phi,
             "identity_ok": self.identity_ok,
             "vanishing_ok": self.vanishing_ok,
             "realizable_ok": self.realizable_ok,
@@ -286,12 +252,12 @@ def verify_gluing(m1: MovieResult, m2: MovieResult, e_cal: int = 1) -> GluingRep
     """Check the gluing identity and realizability for two movies of one link."""
     model = glue_movies(m1, m2, e_cal)
     p = pontryagin_square(model.w2_vector, model.form)
-    delta = Mod4(phi(m1, e_cal) - phi(m2, e_cal))
+    delta = (phi(m1, e_cal) - phi(m2, e_cal)) % 4
     return GluingReport(
         pontryagin=p,
         delta_phi=delta,
         identity_ok=p == delta,
-        vanishing_ok=p == Mod4(0),
+        vanishing_ok=p == 0,
         realizable_ok=dold_whitney_realizable(0, model.w2_vector, model.form),
         model=model,
     )

@@ -81,8 +81,7 @@ def _cmd_phi(args) -> int:
     try:
         movie = run_script(script)
     except ScriptError as e:
-        where = "terminal state" if e.move_index is None else f"move {e.move_index}"
-        print(f"error: script invalid at {where}: {e}", file=sys.stderr)
+        print(f"error: script invalid: {e}", file=sys.stderr)  # e names the move or state
         return CHECK_ERROR
     value = phi(movie, cal.e_cal)
     print(f"phi = {value}")
@@ -169,10 +168,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (PDSyntaxError, ScriptSyntaxError, json.JSONDecodeError) as e:
+    except (PDSyntaxError, ScriptSyntaxError, json.JSONDecodeError, UnicodeDecodeError) as e:
         print(f"parse error: {e}", file=sys.stderr)
         return USAGE_ERROR
-    except FileNotFoundError as e:
+    except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
     except Sato4Error as e:

@@ -159,8 +159,6 @@ def sato_levine_oracle(d: LinkDiagram, s_cal: int = 1) -> int:
     """
     if s_cal not in (1, -1):
         raise ValueError("s_cal must be +1 or -1")
-    if d.component_count != 2:
-        raise DiagramError(f"need exactly 2 components, got {d.component_count}")
-    if d.linking_number(1, 2) != 0:
-        raise DiagramError("nonzero linking number")
+    if d.lk0_violation:
+        raise DiagramError(d.lk0_violation)
     return s_cal * conway(d).coefficient(3)

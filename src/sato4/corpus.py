@@ -49,7 +49,6 @@ class CorpusEntry:
     """One fixture: a named diagram with declared invariants and scripts."""
 
     name: str
-    pd_text: str
     diagram: LinkDiagram
     components: int
     linking_number: int | None
@@ -76,8 +75,11 @@ class Calibration:
         }
 
     @staticmethod
-    def from_json(obj: dict) -> "Calibration":
-        return Calibration(e_cal=int(obj["e_cal"]), s_cal=int(obj["s_cal"]))
+    def from_json(obj) -> "Calibration":
+        keys = ("e_cal", "s_cal")  # JSON integers: types compared exactly, so bools fail
+        if not isinstance(obj, dict) or any(type(obj.get(k)) is not int for k in keys):
+            raise CalibrationError('calibration needs integer "e_cal" and "s_cal" in a JSON object')
+        return Calibration(e_cal=obj["e_cal"], s_cal=obj["s_cal"])
 
 
 def load_entry(path: Path) -> CorpusEntry:
@@ -86,17 +88,24 @@ def load_entry(path: Path) -> CorpusEntry:
     meta_file = path / "meta.json"
     if not pd_file.is_file() or not meta_file.is_file():
         raise CorpusError(f"{path}: need link.pd and meta.json")
-    pd_text = pd_file.read_text()
-    diagram = parse_pd(pd_text)
+    diagram = parse_pd(pd_file.read_text())
     meta = json.loads(meta_file.read_text())
-    components = int(meta["components"])
+    if not (
+        isinstance(meta, dict)
+        and type(meta.get("components")) is int
+        and type(meta.get("linking_number")) in (int, type(None))
+    ):
+        raise CorpusError(
+            f'{path.name}: meta.json must be an object with an integer "components" '
+            'and an integer or null "linking_number"'
+        )
+    components = meta["components"]
     lk = meta.get("linking_number")
     if diagram.component_count != components:
         raise CorpusError(
             f"{path.name}: declares {components} components, diagram has {diagram.component_count}"
         )
     if lk is not None:
-        lk = int(lk)
         if diagram.component_count != 2:
             raise CorpusError(f"{path.name}: linking number declared for a non-2-component link")
         if diagram.linking_number(1, 2) != lk:
@@ -108,10 +117,12 @@ def load_entry(path: Path) -> CorpusEntry:
     script_dir = path / "scripts"
     if script_dir.is_dir():
         for f in sorted(script_dir.glob("*.json")):
-            scripts.append(HomotopyScript.from_json(json.loads(f.read_text()), name=f.stem))
+            script = HomotopyScript.from_json(json.loads(f.read_text()), name=f.stem)
+            if script.initial_diagram() != diagram:
+                raise CorpusError(f"{path.name}/{f.name}: the script does not start from link.pd")
+            scripts.append(script)
     return CorpusEntry(
         name=path.name,
-        pd_text=pd_text.strip(),
         diagram=diagram,
         components=components,
         linking_number=lk,
@@ -132,51 +143,47 @@ def load_corpus(root: Path) -> list[CorpusEntry]:
     return entries
 
 
-def _scripted_movies(entries) -> list[tuple[CorpusEntry, MovieResult]]:
-    out = []
-    for entry in entries:
-        for script in entry.scripts:
-            out.append((entry, run_script(script)))
-    return out
+def _scripted_movies(entry: CorpusEntry, failures: list[str] | None = None) -> list[MovieResult]:
+    """Run a fixture's scripts on its diagram; failures go to ``failures`` if given, else raise."""
+    movies = []
+    for script in entry.scripts:
+        try:
+            movies.append(run_script(script, entry.diagram))
+        except ScriptError as e:
+            if failures is None:
+                raise
+            failures.append(f"{entry.name}/{script.name}: {e}")
+    return movies
 
 
 def calibrate_movies(data: list[tuple[int, int]]) -> Calibration:
     """Solve for the signs from (oracle-at-s=+1, raw-engine) pairs.
 
-    Raises when no sign choice reconciles every pair (corrupt data) or
-    when every pair is (0, 0) so nothing pins the engine sign down.
+    Only e_cal * s_cal is observable, so with s_cal = +1 this solves for
+    e_cal.  Raises when neither sign reconciles every pair (corrupt data)
+    or when both do, every pair being (0, 0), so nothing pins it down.
     """
-    candidates = []
-    for e in (1, -1):
-        for s in (1, -1):
-            if all(e * raw == s * oracle for oracle, raw in data):
-                candidates.append(Calibration(e_cal=e, s_cal=s))
-    if not candidates:
+    fits = [e for e in (1, -1) if all(e * raw == oracle for oracle, raw in data)]
+    if not fits:
         raise CalibrationError(
             "no consistent sign choice; the engine disagrees with the oracle beyond a global sign"
         )
-    if len(candidates) == 4:
+    if len(fits) == 2:
         raise CalibrationError(
             "ambiguous calibration: every scripted fixture has invariant 0; "
             "add a fixture with a nonzero invariant"
         )
-    normalized = [c for c in candidates if c.s_cal == 1]
-    if len(normalized) != 1:
-        raise CalibrationError("calibration did not reduce to a unique normalized pair")
-    return normalized[0]
+    return Calibration(e_cal=fits[0], s_cal=1)
 
 
 def calibrate(root: Path) -> Calibration:
     """Calibrate against every scripted fixture in the corpus and persist."""
-    entries = load_corpus(root)
-    movies = _scripted_movies(entries)
-    if not movies:
-        raise CalibrationError("no scripted fixtures to calibrate against")
     data = []
-    for entry, movie in movies:
-        oracle = sato_levine_oracle(entry.diagram, 1)
-        raw = beta_engine(movie, 1)
-        data.append((oracle, raw))
+    for entry in load_corpus(root):
+        for movie in _scripted_movies(entry):
+            data.append((sato_levine_oracle(entry.diagram, 1), beta_engine(movie, 1)))
+    if not data:
+        raise CalibrationError("no scripted fixtures to calibrate against")
     cal = calibrate_movies(data)
     save_calibration(root, cal)
     return cal
@@ -221,33 +228,24 @@ def verify_corpus(root: Path, cal: Calibration | None = None) -> dict:
             info["seifert_oracle_agrees"] = dual_ok
             if not dual_ok:
                 failures.append(f"{entry.name}: Seifert-matrix Conway disagrees with skein")
-        oracle = None
-        if entry.components == 2 and info.get("linking_number") == 0:
+        if d.lk0_violation is None:
             oracle = sato_levine_oracle(d, cal.s_cal)
             info["oracle"] = oracle
             info["verdict"] = "not slice" if oracle % 4 else ""
-        movies: list[MovieResult] = []
+        # a script runs on the fixture's own diagram, so a movie exists only at lk 0
+        movies = _scripted_movies(entry, failures)
         info["scripts"] = {}
-        for script in entry.scripts:
-            try:
-                movie = run_script(script)
-            except ScriptError as e:
-                failures.append(f"{entry.name}/{script.name}: {e}")
-                continue
-            movies.append(movie)
+        for movie in movies:
             sphi = phi(movie, cal.e_cal)
             sbeta = beta_engine(movie, cal.e_cal)
             srec = {"phi": sphi, "beta_engine": sbeta, "records": movie.records_json()}
-            info["scripts"][script.name] = srec
-            if oracle is None:
-                failures.append(f"{entry.name}/{script.name}: scripted fixture must have linking number 0")
-                continue
+            info["scripts"][movie.name] = srec
             if sphi != oracle % 4:
                 failures.append(
-                    f"{entry.name}/{script.name}: phi {sphi} != oracle mod 4 {oracle % 4}"
+                    f"{entry.name}/{movie.name}: phi {sphi} != oracle mod 4 {oracle % 4}"
                 )
             if sbeta != oracle:
-                failures.append(f"{entry.name}/{script.name}: engine {sbeta} != oracle {oracle}")
+                failures.append(f"{entry.name}/{movie.name}: engine {sbeta} != oracle {oracle}")
         phis = [s["phi"] for s in info["scripts"].values()]
         if phis:
             info["script_independent"] = len(set(phis)) == 1

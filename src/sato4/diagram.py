@@ -341,6 +341,15 @@ class LinkDiagram:
             raise DiagramError("odd inter-component crossing sum; diagram is not a closed-curve projection")
         return total // 2
 
+    @cached_property
+    def lk0_violation(self) -> str | None:
+        """Why this is not a 2-component diagram of linking number 0, or None."""
+        if self.component_count != 2:
+            return f"need exactly 2 components, got {self.component_count}"
+        if self.linking_number(1, 2) != 0:
+            return "nonzero linking number"
+        return None
+
     # -- local operations ----------------------------------------------------
 
     def _carried_hints(self, slot_perms: dict[int, tuple[int, int, int, int]] | None = None):

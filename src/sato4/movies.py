@@ -221,8 +221,8 @@ def record_self_crossing_change(
     and keeps its parity).
     """
     lam, lam_other = smoothing_loop_linking(d, cid)
-    if d.linking_number(1, 2) != 0:
-        raise MoveError("crossing changes are only recorded at linking number 0")
+    if d.lk0_violation:
+        raise MoveError(f"crossing change refused: {d.lk0_violation}")
     if (lam + lam_other) != 0:
         raise MoveError("smoothing loops do not balance; inconsistent diagram")
     eps = d.sign(cid)
@@ -234,10 +234,8 @@ def record_self_crossing_change(
 def run_script(script: HomotopyScript, diagram: LinkDiagram | None = None) -> MovieResult:
     """Apply every move in order; the movie must end at the 2-component unlink."""
     d = script.initial_diagram() if diagram is None else diagram
-    if d.component_count != 2:
-        raise ScriptError(f"initial diagram has {d.component_count} components, need 2")
-    if d.linking_number(1, 2) != 0:
-        raise ScriptError("initial diagram has nonzero linking number")
+    if d.lk0_violation:
+        raise ScriptError(f"initial diagram: {d.lk0_violation}")
     initial_encoding = d.canonical_encoding
     records: list[SelfIntersectionRecord] = []
     for idx, m in enumerate(script.moves):

@@ -129,13 +129,10 @@ def insert_r2(
     da_x: tuple[int, bool],
     da_y: tuple[int, bool],
     x_over: bool = True,
-):
+) -> LinkDiagram:
     """R2: slide arc x across a shared face over (or under) arc y.
 
-    The directed arcs must be steps of one face walk.  Returns the new
-    diagram and the pair of fresh crossing ids (west, east) in the local
-    picture where the face walk runs x eastward below and y westward
-    above.
+    The directed arcs must be steps of one face walk.
     """
     if da_x[0] == da_y[0]:
         raise MoveError("cannot slide an arc across itself")
@@ -152,12 +149,16 @@ def add_r2(d: LinkDiagram, x: int, y: int, x_over: bool) -> LinkDiagram:
         da_x = next((da for da in face if da[0] == x), None)
         da_y = next((da for da in face if da[0] == y), None)
         if da_x and da_y:
-            return _slide_r2(d, da_x, da_y, x_over)[0]
+            return _slide_r2(d, da_x, da_y, x_over)
     raise MoveError(f"arcs {x} and {y} do not cobound a face")
 
 
 def _slide_r2(d: LinkDiagram, da_x: tuple[int, bool], da_y: tuple[int, bool], x_over: bool):
-    """The surgery of insert_r2 on two checked steps of one face."""
+    """The surgery of insert_r2 on two checked steps of one face.
+
+    The fresh crossings cw and ce are west and east in the local picture
+    where the face walk runs x eastward below and y westward above.
+    """
     x, dx = da_x
     y, dy = da_y
     x2, y2, m1, m2 = d.fresh_arc_ids(4)
@@ -184,12 +185,11 @@ def _slide_r2(d: LinkDiagram, da_x: tuple[int, bool], da_y: tuple[int, bool], x_
     else:
         c1, h1 = make_crossing(cw, x_at_cw[0], x_at_cw[1], y_at_cw[0], y_at_cw[1])
         c2, h2 = make_crossing(ce, x_at_ce[0], x_at_ce[1], y_at_ce[0], y_at_ce[1])
-    new = d.rebuild(
+    return d.rebuild(
         replace={d.head(x): x2, d.head(y): y2},
         new_crossings=[c1, c2],
         new_hints={**h1, **h2},
     )
-    return new, (cw, ce)
 
 
 def find_bigons(d: LinkDiagram) -> list[tuple[int, int]]:

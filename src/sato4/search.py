@@ -31,7 +31,6 @@ class SearchBudget:
 def enumerate_moves(
     d: LinkDiagram,
     include_sc: bool = True,
-    include_r3: bool = True,
     include_adds: bool = False,
 ) -> list[Move]:
     """Moves whose sites pattern-match in the given diagram.
@@ -48,10 +47,9 @@ def enumerate_moves(
     for pair in sorted(bigons):
         if not rewrites.is_clasp(d, bigons[pair]):
             moves.append(Move("r2_remove", crossings=pair))
-    if include_r3:
-        for tri in rewrites.find_triangles(d):
-            moves.append(Move("r3", crossings=tri))
-    if include_sc and d.component_count == 2 and d.linking_number(1, 2) == 0:
+    for tri in rewrites.find_triangles(d):
+        moves.append(Move("r3", crossings=tri))
+    if include_sc and d.lk0_violation is None:
         for c in d.crossings:
             if d.is_self_crossing(c.id):
                 moves.append(Move("sc", crossing=c.id))
@@ -77,10 +75,8 @@ def auto_script(d: LinkDiagram, budget: SearchBudget = SearchBudget()) -> Homoto
     Returns None when the budget runs out.  Any returned script has been
     re-validated with run_script.
     """
-    if d.component_count != 2:
-        raise ScriptError(f"need exactly 2 components, got {d.component_count}")
-    if d.linking_number(1, 2) != 0:
-        raise ScriptError("nonzero linking number")
+    if d.lk0_violation:
+        raise ScriptError(d.lk0_violation)
     start_pd = d.serialize()
     counter = itertools.count()
     heap: list = [(_score(d), 0, next(counter), d, ())]

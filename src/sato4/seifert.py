@@ -97,7 +97,7 @@ def to_braid_form(d: LinkDiagram) -> LinkDiagram:
         pair = _reducing_pair(d, circle_of)
         if pair is None:
             return d
-        d, _ = insert_r2(d, pair[0], pair[1], True)
+        d = insert_r2(d, pair[0], pair[1], True)
     raise SeifertError("braiding did not terminate")
 
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from sato4.bundle import (
     GluingReport,
-    Mod4,
     TorusClass,
     TorusRep,
     V4,
@@ -19,7 +18,6 @@ from sato4.bundle import (
     pontryagin_square,
     torus_w2_cup,
     torus_w2_surjectivity,
-    v4_multiply,
     verify_gluing,
 )
 from sato4.diagram import parse_pd
@@ -47,25 +45,25 @@ def _rec(eps, lam, component=1):
 
 def test_v4_involutions():
     for g in V4.ALL:
-        assert v4_multiply(g, g) == V4.E
+        assert g * g == V4.E
 
 
 def test_v4_product_of_nontrivial_pair():
-    assert v4_multiply(V4.X1, V4.X2) == V4.X3
-    assert v4_multiply(V4.X2, V4.X3) == V4.X1
-    assert v4_multiply(V4.X3, V4.X1) == V4.X2
+    assert V4.X1 * V4.X2 == V4.X3
+    assert V4.X2 * V4.X3 == V4.X1
+    assert V4.X3 * V4.X1 == V4.X2
 
 
 def test_v4_identity():
     for g in V4.ALL:
-        assert v4_multiply(V4.E, g) == g
+        assert V4.E * g == g
 
 
 def test_v4_closed_and_abelian():
     for g in V4.ALL:
         for h in V4.ALL:
-            assert v4_multiply(g, h) in V4.ALL
-            assert v4_multiply(g, h) == v4_multiply(h, g)
+            assert g * h in V4.ALL
+            assert g * h == h * g
 
 
 def test_v4_rejects_non_special_diagonal():
@@ -132,9 +130,9 @@ def test_pontryagin_exhaustive_reduction_and_additivity_small_rank():
                 for v in itertools.product((0, 1), repeat=rank):
                     s = tuple((x + y) % 2 for x, y in zip(u, v))
                     pairing = sum(x * y * d for x, y, d in zip(u, v, form))
-                    assert pontryagin_square(s, form) == Mod4(
+                    assert pontryagin_square(s, form) == (
                         pu + pontryagin_square(v, form) + 2 * pairing
-                    )
+                    ) % 4
 
 
 @settings(max_examples=300)
@@ -146,17 +144,9 @@ def test_pontryagin_laws_randomized(rows):
     s = [(x + y) % 2 for x, y in zip(u, v)]
     pairing = sum(x * y * d for x, y, d in zip(u, v, form))
     assert pontryagin_square(u, form) % 2 == sum(u) % 2
-    assert pontryagin_square(s, form) == Mod4(
+    assert pontryagin_square(s, form) == (
         pontryagin_square(u, form) + pontryagin_square(v, form) + 2 * pairing
-    )
-
-
-def test_mod4_ring():
-    assert Mod4(7) == 3
-    assert Mod4(2) + Mod4(3) == 1
-    assert Mod4(1) - 2 == 3
-    assert Mod4(3) * 3 == 1
-    assert -Mod4(1) == 3
+    ) % 4
 
 
 def test_dold_whitney_examples():
@@ -257,7 +247,7 @@ def test_phi_delta_matches_pontryagin_generically():
     for e in (1, -1):
         report = verify_gluing(m1, m2, e)
         assert report.identity_ok
-        assert report.pontryagin == Mod4(phi(m1, e) - phi(m2, e))
+        assert report.pontryagin == (phi(m1, e) - phi(m2, e)) % 4
 
 
 def test_model_rejects_bad_records():

@@ -1,5 +1,6 @@
 """Corpus loading, calibration, verification, and the command line."""
 
+import itertools
 import json
 import shutil
 import subprocess
@@ -60,6 +61,29 @@ def test_calibrate_movies_sign_pair_structure():
     assert sorted(raw_pairs) == [(-1, 1), (1, -1)]
 
 
+def _calibrate_by_four_candidates(data):
+    """The reference: every (e_cal, s_cal) pair that fits, then s_cal = +1."""
+    fits = [(e, s) for e in (1, -1) for s in (1, -1) if all(e * r == s * o for o, r in data)]
+    if not fits:
+        return "no consistent"
+    if len(fits) == 4:
+        return "ambiguous"
+    (e,) = [e for e, s in fits if s == 1]
+    return Calibration(e_cal=e, s_cal=1)
+
+
+def test_calibrate_movies_matches_four_candidate_search():
+    pairs = list(itertools.product(range(-2, 3), repeat=2))
+    for n in range(3):
+        for data in itertools.product(pairs, repeat=n):
+            want = _calibrate_by_four_candidates(data)
+            if isinstance(want, Calibration):
+                assert calibrate_movies(list(data)) == want, data
+            else:
+                with pytest.raises(CalibrationError, match=want):
+                    calibrate_movies(list(data))
+
+
 def test_calibrate_ambiguous_when_all_zero():
     with pytest.raises(CalibrationError, match="ambiguous"):
         calibrate_movies([(0, 0), (0, 0)])
@@ -97,15 +121,35 @@ def test_verify_is_deterministic(corpus_dir):
     assert a == b
 
 
-def test_verify_flags_wrong_link_script(tmp_path, corpus_dir):
-    work = tmp_path / "corpus"
-    shutil.copytree(corpus_dir, work)
-    # hand the whitehead fixture a script that certifies the unlink instead
-    stolen = json.loads((work / "unlink2" / "scripts" / "empty.json").read_text())
-    (work / "whitehead" / "scripts" / "z_wrong.json").write_text(json.dumps(stolen))
-    report = verify_corpus(work)
-    assert not report["ok"]
-    assert any("different links" in f or "oracle" in f for f in report["failures"])
+def test_verify_flags_wrong_link_script(tmp_path, corpus_dir, capsys):
+    cases = [
+        # hand the whitehead fixture a script that certifies the unlink instead
+        ("unlink2/scripts/empty.json", "whitehead/scripts/z_wrong.json"),
+        # replace a fixture's only script with a valid movie of another diagram
+        ("kinked_split/scripts/r1.json", "unlink2/scripts/empty.json"),
+    ]
+    for i, (source, target) in enumerate(cases):
+        work = tmp_path / f"corpus{i}"
+        shutil.copytree(corpus_dir, work)
+        shutil.copyfile(work / source, work / target)
+        with pytest.raises(CorpusError, match="does not start from link.pd"):
+            verify_corpus(work)
+        assert main(["verify", str(work)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "meta",
+    [[2], {"linking_number": 0}, {"components": "two"}, {"components": True},
+     {"components": 2, "linking_number": "0"}, {"components": 2.0}],
+)
+def test_malformed_meta_is_corpus_error(tmp_path, capsys, corpus_dir, meta):
+    shutil.copytree(corpus_dir / "whitehead", tmp_path / "whitehead")
+    (tmp_path / "whitehead" / "meta.json").write_text(json.dumps(meta))
+    with pytest.raises(CorpusError, match="meta.json must be an object"):
+        load_entry(tmp_path / "whitehead")
+    assert main(["calibrate", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 # -- CLI ----------------------------------------------------------------------------
@@ -166,11 +210,50 @@ def test_cli_phi_corrupted_script(capsys, tmp_path, corpus_dir):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(payload))
     assert main(["phi", "--script", str(bad)]) == 1
-    assert "move 1" in capsys.readouterr().err
+    assert capsys.readouterr().err.count("move 1") == 1
+
+
+def test_cli_phi_initial_diagram_error_is_not_terminal_state(capsys, tmp_path):
+    script = tmp_path / "hopf.json"
+    script.write_text(json.dumps({"link": "PD[X[4,1,3,2],X[2,3,1,4]]", "moves": []}))
+    assert main(["phi", "--script", str(script)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err == "error: script invalid: initial diagram: nonzero linking number"
 
 
 def test_cli_parse_error_is_usage_error(capsys):
     assert main(["conway", "PD[X[1,2,3]]"]) == 2
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [{}, [1], {"e_cal": "x", "s_cal": 1}, {"e_cal": -1}, {"e_cal": True, "s_cal": 1},
+     {"e_cal": 1.0, "s_cal": 1}, {"e_cal": 2, "s_cal": 1}, "e_cal"],
+)
+def test_cli_malformed_calibration_is_error(capsys, tmp_path, corpus_dir, payload):
+    cal = tmp_path / "cal.json"
+    cal.write_text(json.dumps(payload))
+    assert main(["beta", "PD[] U[1] U[2]", "--calibration", str(cal)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    # the same file as a corpus calibration
+    work = tmp_path / "corpus"
+    shutil.copytree(corpus_dir, work)
+    shutil.copyfile(cal, work / "calibration.json")
+    assert main(["verify", str(work)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_cli_unreadable_file_is_usage_error(capsys, tmp_path):
+    assert main(["phi", "--script", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert main(["lk", f"@{tmp_path}"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert main(["lk", f"@{tmp_path / 'missing.pd'}"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    latin1 = tmp_path / "latin1.pd"
+    latin1.write_bytes("# caf\xe9\nPD[X[4,1,3,2],X[2,3,1,4]]\n".encode("latin-1"))
+    assert main(["lk", f"@{latin1}"]) == 2
+    assert capsys.readouterr().err.startswith("parse error:")
 
 
 @pytest.mark.parametrize(

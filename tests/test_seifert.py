@@ -123,7 +123,7 @@ def test_dual_oracle_on_mutated_diagrams():
                 da2 = next((x for x in das if x[0] != da1[0]), None)
                 if da2 is None:
                     continue
-                d, _ = insert_r2(d, da1, da2, rng.random() < 0.5)
+                d = insert_r2(d, da1, da2, rng.random() < 0.5)
         assert conway_from_seifert(seifert_matrix(d)) == conway(d), d.serialize()
         tested += 1
 
