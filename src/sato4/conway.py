@@ -6,10 +6,13 @@ nabla(L+) - nabla(L-) = z nabla(L0).  Switch moves strictly toward a
 descending diagram and smoothing drops a crossing, so the recursion
 terminates; descending diagrams are split unlinks.
 
-Results are memoized on the canonical encoding.  The memo is the only
-shared state in the package: concurrent readers are fine, insertions
-are atomically published dict writes, and losing a race merely
-recomputes an identical value.
+Only recursive nodes are memoized, on the canonical encoding.  Leaves
+(a split diagram with a crossingless component, a crossingless diagram
+and a descending diagram) are answered before the key is built, since
+the key costs more than the answer.  The memo is the only shared state
+in the package: concurrent readers are fine, insertions are atomically
+published dict writes, and losing a race merely recomputes an
+identical value.
 
 All coefficients are exact integers.
 """
@@ -115,16 +118,6 @@ def clear_memo() -> None:
 
 def conway(d: LinkDiagram) -> ConwayPoly:
     """The Conway polynomial of the oriented link presented by d."""
-    key = d.canonical_encoding
-    hit = _MEMO.get(key)
-    if hit is not None:
-        return hit
-    value = _compute(d)
-    _MEMO[key] = value
-    return value
-
-
-def _compute(d: LinkDiagram) -> ConwayPoly:
     if d.crossings and d.markers:
         # a crossingless component next to anything else: split link
         return ConwayPoly.zero()
@@ -132,6 +125,17 @@ def _compute(d: LinkDiagram) -> ConwayPoly:
     if cid is None:
         # crossingless or descending diagram: an unknot, or a split unlink
         return ConwayPoly.one() if d.component_count == 1 else ConwayPoly.zero()
+    key = d.canonical_encoding
+    hit = _MEMO.get(key)
+    if hit is not None:
+        return hit
+    value = _compute(d, cid)
+    _MEMO[key] = value
+    return value
+
+
+def _compute(d: LinkDiagram, cid: int) -> ConwayPoly:
+    """One skein step at the crossing ``cid`` that breaks descent."""
     switched = conway(d.switch(cid))
     smoothed = conway(d.smooth(cid)).shift(1)
     return switched + smoothed if d.sign(cid) > 0 else switched - smoothed

@@ -514,40 +514,74 @@ class LinkDiagram:
         length, and basepoints are limited to arcs entering a crossing on
         the under-strand whenever the component has any.  Crossing ids
         never enter the encoding.
+
+        Every arc enters at most one crossing on slot 0, so a candidate's
+        crossing list in increasing order of the relabeled slot-0 arc is
+        already sorted: it is emitted in walk order, with no sort.  Each
+        relabeled crossing is compared with the best list so far as it is
+        emitted, and the candidate is dropped at its first larger one.
+        The string is the same as from sorting every candidate's list.
         """
         marker_set = set(self.markers)
         cycles = [c for c in self.components if c[0] not in marker_set]
-        quads = [
-            (c.arcs, 1 if self.is_incoming(c.id, 1) else 0) for c in self.crossings
-        ]
+        where: dict[int, tuple[int, int]] = {}
+        for ci, cyc in enumerate(cycles):
+            for pos, arc in enumerate(cyc):
+                where[arc] = (ci, pos)
+        # per cycle, in walk order: (position of the slot-0 arc,
+        # (cycle, position) of each slot's arc, over-strand-incoming flag)
+        entries: list[list[tuple]] = [[] for _ in cycles]
+        for c in self.crossings:
+            a, b, cc, d = c.arcs
+            ci, pos = where[a]
+            flag = 1 if self.is_incoming(c.id, 1) else 0
+            entries[ci].append((pos, (*where[a], *where[b], *where[cc], *where[d], flag)))
+        lengths = [len(cyc) for cyc in cycles]
         starts: list[list[int]] = []
-        for cyc in cycles:
-            under = [i for i, arc in enumerate(cyc) if self._head[arc][1] == 0]
-            starts.append(under if under else list(range(len(cyc))))
+        rotated: list[dict[int, list[tuple]]] = []
+        for ci, e in enumerate(entries):
+            e.sort()
+            seq = [slots for _, slots in e]
+            starts.append([pos for pos, _ in e] or list(range(lengths[ci])))
+            rotated.append({pos: seq[j:] + seq[:j] for j, (pos, _) in enumerate(e)})
         groups: dict[int, list[int]] = {}
-        for idx, cyc in enumerate(cycles):
-            groups.setdefault(len(cyc), []).append(idx)
+        for idx, ln in enumerate(lengths):
+            groups.setdefault(ln, []).append(idx)
         group_orders = [
             itertools.permutations(groups[size]) for size in sorted(groups)
         ]
-        best: tuple | None = None
+        first = [0] * len(cycles)  # label of each cycle's basepoint
+        rot = [0] * len(cycles)
+        best: list[tuple] | None = None
         for parts in itertools.product(*group_orders):
             order = [idx for part in parts for idx in part]
             for rots in itertools.product(*(starts[i] for i in order)):
-                label: dict[int, int] = {}
-                n = 0
-                for idx, rot in zip(order, rots):
-                    cyc = cycles[idx]
-                    ln = len(cyc)
-                    for k in range(ln):
-                        n += 1
-                        label[cyc[(rot + k) % ln]] = n
-                enc = tuple(
-                    sorted(((label[a], label[b], label[c], label[d]), flag) for (a, b, c, d), flag in quads)
-                )
-                if best is None or enc < best:
-                    best = enc
-        body = ";".join(f"{a},{b},{c},{d}:{flag}" for (a, b, c, d), flag in (best or ()))
+                n = 1
+                emitted: list[tuple] = []
+                for idx, r in zip(order, rots):
+                    first[idx], rot[idx] = n, r
+                    n += lengths[idx]
+                    emitted += rotated[idx].get(r, ())
+                enc: list[tuple] = []
+                tied = best is not None
+                for c0, p0, c1, p1, c2, p2, c3, p3, flag in emitted:
+                    quad = (
+                        first[c0] + (p0 - rot[c0]) % lengths[c0],
+                        first[c1] + (p1 - rot[c1]) % lengths[c1],
+                        first[c2] + (p2 - rot[c2]) % lengths[c2],
+                        first[c3] + (p3 - rot[c3]) % lengths[c3],
+                        flag,
+                    )
+                    if tied:
+                        held = best[len(enc)]
+                        if quad > held:
+                            break
+                        tied = quad == held
+                    enc.append(quad)
+                else:
+                    if not tied:
+                        best = enc
+        body = ";".join(f"{a},{b},{c},{d}:{flag}" for a, b, c, d, flag in best or ())
         return f"U{len(self.markers)}|{body}"
 
     # -- value semantics ---------------------------------------------------------

@@ -26,15 +26,7 @@ class ScriptSyntaxError(Sato4Error):
 
 
 class ScriptError(Sato4Error):
-    """A homotopy script failed validation.
-
-    Carries the index of the offending move (or None for terminal-state
-    failures) so front ends can report the exact step.
-    """
-
-    def __init__(self, message, move_index=None):
-        super().__init__(message)
-        self.move_index = move_index
+    """A homotopy script failed validation; the message names the failing step."""
 
 
 class GluingError(Sato4Error):

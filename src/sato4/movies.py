@@ -242,7 +242,7 @@ def run_script(script: HomotopyScript, diagram: LinkDiagram | None = None) -> Mo
         try:
             d, record = _apply(d, m)
         except MoveError as e:
-            raise ScriptError(f"move {idx} ({m.kind}) failed: {e}", move_index=idx) from e
+            raise ScriptError(f"move {idx} ({m.kind}) failed: {e}") from e
         if record is not None:
             records.append(record)
     if d.crossings or d.component_count != 2:

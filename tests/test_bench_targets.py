@@ -2,9 +2,12 @@
 
 import importlib
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import pytest
+
+from sato4.diagram import LinkDiagram
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
@@ -20,3 +23,10 @@ def test_trace_target_resolves(name):
 
 def test_memo_target_resolves():
     assert isinstance(importlib.import_module("sato4.conway")._MEMO, dict)
+
+
+@pytest.mark.parametrize("attr", ["canonical_encoding", "faces"])
+def test_cached_targets_stay_cached_properties(attr):
+    # spans.install rewraps a cached_property's function, so the encode and
+    # faces spans (diagram.encode_calls, ...) count computations, not reads
+    assert isinstance(LinkDiagram.__dict__[attr], cached_property)

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from sato4.braids import braid_closure
-from sato4.conway import ConwayPoly, conway, sato_levine_oracle
+from sato4.conway import _MEMO, ConwayPoly, _first_violation, clear_memo, conway, sato_levine_oracle
 from sato4.diagram import parse_pd
 from sato4.errors import DiagramError
 from sato4.movies import apply_move
@@ -159,8 +159,6 @@ def test_memo_is_safe_under_concurrent_use(corpus):
     # insertions, idempotent recomputation
     import concurrent.futures
 
-    from sato4.conway import clear_memo
-
     clear_memo()
     diagrams = [e.diagram for e in corpus] * 4
     with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
@@ -168,6 +166,34 @@ def test_memo_is_safe_under_concurrent_use(corpus):
     clear_memo()
     for d, got in zip(diagrams, results):
         assert got == conway(d)
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        (TREFOIL + " U[7]", []),  # split
+        ("PD[] U[1]", [1]),  # crossingless
+        ("PD[] U[1] U[2]", []),
+        ("PD[X[2,1,1,2]]", [1]),  # descending
+        ("PD[X[2,3,4,1],X[4,3,2,1]]", []),
+    ],
+)
+def test_leaves_build_no_memo_key(text, value):
+    d = parse_pd(text)
+    if d.crossings and not d.markers:
+        assert _first_violation(d) is None
+    clear_memo()
+    assert conway(d).as_list() == value
+    assert _MEMO == {}
+    assert "canonical_encoding" not in d.__dict__
+
+
+def test_recursive_nodes_are_memoized():
+    d = parse_pd(TREFOIL)
+    clear_memo()
+    conway(d)
+    assert _MEMO[d.__dict__["canonical_encoding"]] == ConwayPoly.of([1, 0, 1])
+    clear_memo()
 
 
 def test_conway_poly_arithmetic():
