@@ -12,6 +12,11 @@ when it enters at slot 1.  Equivalently: rotating the under direction
 clockwise by a quarter turn gives the over direction at a positive
 crossing.
 
+Orientation is one sign per crossing: slot 0 is incoming and slot 2
+outgoing by convention, so the sign says which of slots 1 and 3 is the
+incoming over arc.  Derived diagrams are built from the signs of the
+crossings they keep.
+
 Diagrams are immutable values; every operation returns a new diagram.
 """
 
@@ -39,9 +44,6 @@ class Crossing:
     id: int
     arcs: tuple[int, int, int, int]
 
-
-_IN = 1
-_OUT = 2
 
 _X_TOKEN = re.compile(r"X\s*\[\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\]")
 _U_TOKEN = re.compile(r"U\s*\[\s*(\d+)\s*\]")
@@ -106,8 +108,11 @@ def _parse_lines(body: str) -> "LinkDiagram":
 
 
 def _build(quads: Sequence[tuple[int, int, int, int]], markers: Sequence[int]) -> "LinkDiagram":
-    crossings = [Crossing(i, q) for i, q in enumerate(quads, 1)]
-    return LinkDiagram(crossings, markers)
+    d = LinkDiagram([Crossing(i, q) for i, q in enumerate(quads, 1)], markers)
+    # Euler: a piece with n crossings lies on a sphere iff it has n + 2 faces
+    if len(d.faces) != len(d.crossings) + 2 * d.pieces():
+        raise DiagramError("PD code is not planar: some piece does not lie on a sphere")
+    return d
 
 
 def orbits(step: Callable, elements: Iterable) -> list[tuple]:
@@ -155,13 +160,15 @@ class LinkDiagram:
 
     Components are the cycles of the successor relation on arcs, indexed
     from 1 in order of their smallest arc (or marker) identifier.
+    ``signs`` maps crossing ids to +1 or -1; crossings it leaves out are
+    oriented from the code itself.
     """
 
     def __init__(
         self,
         crossings: Iterable[Crossing],
         markers: Iterable[int] = (),
-        incoming_hints: dict[tuple[int, int], bool] | None = None,
+        signs: dict[int, int] | None = None,
     ):
         self.crossings: tuple[Crossing, ...] = tuple(sorted(crossings, key=lambda c: c.id))
         self.markers: tuple[int, ...] = tuple(sorted(markers))
@@ -169,7 +176,7 @@ class LinkDiagram:
         if len(self._by_id) != len(self.crossings):
             raise DiagramError("duplicate crossing ids")
         self._validate_arcs()
-        self._orient(incoming_hints or {})
+        self._orient(signs or {})
         self._trace_components()
 
     # -- construction-time validation ------------------------------------
@@ -193,68 +200,62 @@ class LinkDiagram:
                 raise DiagramError(f"marker {m} collides with an arc identifier")
         self._positions = positions
 
-    def _orient(self, hints: dict[tuple[int, int], bool]) -> None:
-        """Derive the incoming/outgoing state of every (crossing, slot).
+    def _orient(self, signs: dict[int, int]) -> None:
+        """Fix the sign (+1 or -1) of every crossing and the head and tail of every arc.
 
-        Slot 0 is incoming and slot 2 outgoing by convention; the over
-        strand's direction is propagated from these.  Operations thread
-        the previous diagram's states through as ``hints`` so that
-        components whose direction the bare code leaves open keep their
-        orientation.  At parse time there are no hints and such components
-        are resolved by the sequential-numbering rule (the outgoing over
-        arc is the incoming one plus 1, with wraparound), falling back to
-        a fixed deterministic choice.
+        Given signs are kept.  Crossings without one (parsed codes, braid
+        closures) take it from the direction of an over arc, propagated
+        from the under strands.  A component that never passes under is
+        resolved by the sequential-numbering rule (the outgoing over arc
+        is the incoming one plus 1, with wraparound), falling back to a
+        fixed deterministic choice.
         """
-        state: dict[tuple[int, int], int] = {}
-        queue: list[tuple[int, int]] = []
-
-        def assign(pos: tuple[int, int], value: int) -> None:
-            old = state.get(pos)
-            if old is None:
-                state[pos] = value
-                queue.append(pos)
-            elif old != value:
-                raise DiagramError("inconsistent orientation traversal")
-
-        for c in self.crossings:
-            assign((c.id, 0), _IN)
-            assign((c.id, 2), _OUT)
-        for (cid, slot), is_in in sorted(hints.items()):
-            if cid in self._by_id:
-                assign((cid, slot), _IN if is_in else _OUT)
-
-        def propagate() -> None:
-            while queue:
-                cid, slot = queue.pop()
-                value = state[(cid, slot)]
-                arc = self._by_id[cid].arcs[slot]
-                p, q = self._positions[arc]
-                other = q if p == (cid, slot) else p
-                assign(other, _IN if value == _OUT else _OUT)
-                if slot in (1, 3):
-                    assign((cid, 4 - slot), _IN if value == _OUT else _OUT)
-
-        propagate()
-        for c in self.crossings:
-            if (c.id, 1) in state:
-                continue
-            b, d = c.arcs[1], c.arcs[3]
-            if d == b + 1:
-                incoming_slot = 1
-            elif b == d + 1:
-                incoming_slot = 3
-            else:
-                incoming_slot = 1 if b >= d else 3
-            assign((c.id, incoming_slot), _IN)
-            propagate()
-        self._state = state
+        self._sign = {c.id: signs[c.id] for c in self.crossings if c.id in signs}
+        if len(self._sign) < len(self.crossings):
+            self._propagate_signs()
         self._head: dict[int, tuple[int, int]] = {}
         self._tail: dict[int, tuple[int, int]] = {}
         for arc, (p, q) in self._positions.items():
-            if state[p] == _IN:
-                self._head[arc], self._tail[arc] = p, q
+            p_in = self._incoming(*p)
+            if p_in == self._incoming(*q):
+                raise DiagramError("inconsistent orientation traversal")
+            self._head[arc], self._tail[arc] = (p, q) if p_in else (q, p)
+
+    def _incoming(self, cid: int, slot: int) -> bool:
+        if slot % 2 == 0:
+            return slot == 0
+        return (slot == 3) == (self._sign[cid] > 0)
+
+    def _propagate_signs(self) -> None:
+        sign = self._sign
+        stack = [(c.id, slot) for c in self.crossings for slot in range(4)]
+
+        def propagate() -> None:
+            # a known end of an arc gives the opposite role to its far end
+            while stack:
+                cid, slot = stack.pop()
+                if slot % 2 and cid not in sign:
+                    continue
+                p, q = self._positions[self._by_id[cid].arcs[slot]]
+                far, far_slot = q if p == (cid, slot) else p
+                if far_slot % 2 and far not in sign:
+                    far_in = not self._incoming(cid, slot)
+                    sign[far] = 1 if far_in == (far_slot == 3) else -1
+                    stack.extend(((far, 1), (far, 3)))
+
+        propagate()
+        for c in self.crossings:
+            if c.id in sign:
+                continue
+            b, d = c.arcs[1], c.arcs[3]
+            if d == b + 1:
+                sign[c.id] = -1
+            elif b == d + 1:
+                sign[c.id] = 1
             else:
-                self._head[arc], self._tail[arc] = q, p
+                sign[c.id] = -1 if b >= d else 1
+            stack.extend(((c.id, 1), (c.id, 3)))
+            propagate()
 
     def _trace_components(self) -> None:
         succ = {m: m for m in self.markers}  # a marker is a one-element cycle
@@ -284,11 +285,12 @@ class LinkDiagram:
 
     def is_incoming(self, cid: int, slot: int) -> bool:
         self.crossing(cid)
-        return self._state[(cid, slot)] == _IN
+        return self._incoming(cid, slot)
 
     def sign(self, cid: int) -> int:
         """Right-hand-rule sign: +1 iff the over strand enters at slot 3."""
-        return 1 if self.is_incoming(cid, 3) else -1
+        self.crossing(cid)
+        return self._sign[cid]
 
     def component_of(self, arc: int) -> int:
         try:
@@ -352,23 +354,11 @@ class LinkDiagram:
 
     # -- local operations ----------------------------------------------------
 
-    def _carried_hints(self, slot_perms: dict[int, tuple[int, int, int, int]] | None = None):
-        """Per-position orientation states for reuse by a derived diagram."""
-        perms = slot_perms or {}
-        hints: dict[tuple[int, int], bool] = {}
-        for c in self.crossings:
-            perm = perms.get(c.id, (0, 1, 2, 3))
-            for new_slot, old_slot in enumerate(perm):
-                hints[(c.id, new_slot)] = self._state[(c.id, old_slot)] == _IN
-        return hints
-
     @staticmethod
-    def _switched(arcs: tuple[int, int, int, int], sign: int):
-        """Slot tuple and slot permutation after an over/under exchange."""
+    def _switched(arcs: tuple[int, int, int, int], sign: int) -> tuple[int, int, int, int]:
+        """Slot tuple after an over/under exchange: the over strand moves to slots 0 and 2."""
         a, b, c, d = arcs
-        if sign > 0:
-            return (d, a, b, c), (3, 0, 1, 2)
-        return (b, c, d, a), (1, 2, 3, 0)
+        return (d, a, b, c) if sign > 0 else (b, c, d, a)
 
     def switch(self, cid: int) -> "LinkDiagram":
         """Exchange over and under strands at one crossing.
@@ -378,19 +368,14 @@ class LinkDiagram:
         and the sign of the crossing is negated.
         """
         c = self.crossing(cid)
-        new_arcs, perm = self._switched(c.arcs, self.sign(cid))
-        replaced = [Crossing(cid, new_arcs) if x.id == cid else x for x in self.crossings]
-        return LinkDiagram(replaced, self.markers, self._carried_hints({cid: perm}))
+        new = Crossing(cid, self._switched(c.arcs, self._sign[cid]))
+        replaced = [new if x.id == cid else x for x in self.crossings]
+        return LinkDiagram(replaced, self.markers, {**self._sign, cid: -self._sign[cid]})
 
     def mirror(self) -> "LinkDiagram":
         """Switch every crossing (the mirror-image diagram)."""
-        out = []
-        perms = {}
-        for c in self.crossings:
-            new_arcs, perm = self._switched(c.arcs, self.sign(c.id))
-            out.append(Crossing(c.id, new_arcs))
-            perms[c.id] = perm
-        return LinkDiagram(out, self.markers, self._carried_hints(perms))
+        out = [Crossing(c.id, self._switched(c.arcs, self._sign[c.id])) for c in self.crossings]
+        return LinkDiagram(out, self.markers, {cid: -s for cid, s in self._sign.items()})
 
     def smoothing_pairs(self, cid: int) -> list[tuple[int, int]]:
         """The oriented resolution at a crossing as (incoming, outgoing) arc gluings."""
@@ -409,7 +394,7 @@ class LinkDiagram:
         glue: Iterable[tuple[int, int]] = (),
         drop_markers: Iterable[int] = (),
         new_crossings: Iterable[Crossing] = (),
-        new_hints: dict[tuple[int, int], bool] | None = None,
+        new_signs: dict[int, int] | None = None,
         replace: dict[tuple[int, int], int] | None = None,
     ) -> "LinkDiagram":
         """Produce a new diagram by deleting crossings and regluing arcs.
@@ -419,7 +404,9 @@ class LinkDiagram:
         up into new unknot markers; unglued arcs that lose both slots
         (e.g. a removed kink loop) simply vanish.  ``replace`` overwrites
         individual (crossing, slot) positions with explicit arc ids; the
-        in/out role of an overwritten position is unchanged.
+        in/out role of an overwritten position is unchanged.  Kept
+        crossings keep their signs; ``new_signs`` gives those of
+        ``new_crossings``.
         """
         removed = set(remove)
         parent: dict[int, int] = {}
@@ -458,13 +445,9 @@ class LinkDiagram:
             if c.id not in removed
         ]
         kept.extend(new_crossings)
-        hints = {
-            pos: is_in
-            for pos, is_in in self._carried_hints().items()
-            if pos[0] not in removed
-        }
-        hints.update(new_hints or {})
-        return LinkDiagram(kept, markers, hints)
+        signs = {cid: s for cid, s in self._sign.items() if cid not in removed}
+        signs.update(new_signs or {})
+        return LinkDiagram(kept, markers, signs)
 
     # -- faces (combinatorial planar regions) --------------------------------
 
@@ -485,15 +468,15 @@ class LinkDiagram:
         directed = [(arc, fwd) for arc in self._positions for fwd in (True, False)]
         return tuple(orbits(next_da, directed))
 
-    def connected(self) -> bool:
-        """True when the underlying 4-valent graph has a single piece."""
-        if not self.crossings:
-            return len(self.markers) == 1
-        if self.markers:
-            return False
+    def pieces(self) -> int:
+        """Connected pieces of the 4-valent graph of crossings (markers not counted)."""
         parent: dict[int, int] = {}
         merges = sum(union(parent, c1, c2) for (c1, _), (c2, _) in self._positions.values())
-        return merges == len(self.crossings) - 1
+        return len(self.crossings) - merges
+
+    def connected(self) -> bool:
+        """True when the diagram, markers included, has a single piece."""
+        return self.pieces() + len(self.markers) == 1
 
     # -- encodings -------------------------------------------------------------
 
@@ -529,12 +512,12 @@ class LinkDiagram:
             for pos, arc in enumerate(cyc):
                 where[arc] = (ci, pos)
         # per cycle, in walk order: (position of the slot-0 arc,
-        # (cycle, position) of each slot's arc, over-strand-incoming flag)
+        # (cycle, position) of each slot's arc, 1 at a negative crossing)
         entries: list[list[tuple]] = [[] for _ in cycles]
         for c in self.crossings:
             a, b, cc, d = c.arcs
             ci, pos = where[a]
-            flag = 1 if self.is_incoming(c.id, 1) else 0
+            flag = 1 if self._sign[c.id] < 0 else 0
             entries[ci].append((pos, (*where[a], *where[b], *where[cc], *where[d], flag)))
         lengths = [len(cyc) for cyc in cycles]
         starts: list[list[int]] = []
@@ -587,7 +570,7 @@ class LinkDiagram:
     # -- value semantics ---------------------------------------------------------
 
     def _orientation_key(self) -> tuple:
-        return tuple((c.id, self._state[(c.id, 1)] == _IN) for c in self.crossings)
+        return tuple(self._sign[c.id] for c in self.crossings)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LinkDiagram):

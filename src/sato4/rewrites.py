@@ -37,25 +37,19 @@ def make_crossing(
     under: tuple[int, int],
     over_in_pos: int,
     over: tuple[int, int],
-):
+) -> tuple[Crossing, int]:
     """Assemble a crossing from local geometry.
 
     ``under``/``over`` are (incoming arc, outgoing arc); the positions say
     from which compass direction each strand enters.  Returns the crossing
-    and its orientation hints.
+    and its sign, +1 iff the over strand enters at slot 3.
     """
     if (over_in_pos - under_in_pos) % 2 != 1:
         raise ValueError("strands must enter along perpendicular axes")
-    arcs = [0, 0, 0, 0]
-    flags = [False] * 4
-    arcs[0], flags[0] = under[0], True
-    arcs[2], flags[2] = under[1], False
+    arcs = [under[0], 0, under[1], 0]
     oi = (over_in_pos - under_in_pos) % 4
-    arcs[oi], flags[oi] = over[0], True
-    arcs[(oi + _OPP) % 4], flags[(oi + _OPP) % 4] = over[1], False
-    crossing = Crossing(cid, tuple(arcs))
-    hints = {(cid, slot): flags[slot] for slot in range(4)}
-    return crossing, hints
+    arcs[oi], arcs[(oi + _OPP) % 4] = over
+    return Crossing(cid, tuple(arcs)), 1 if oi == 3 else -1
 
 
 # -- R1 ---------------------------------------------------------------------
@@ -96,14 +90,14 @@ def add_kink(d: LinkDiagram, arc: int, sign: int, over_first: bool = True) -> Li
     # entering from the west
     over_in_pos = 2 if sign > 0 else 0
     if over_first:
-        crossing, hints = make_crossing(cid, 3, (loop_arc, last), over_in_pos, (first, loop_arc))
+        crossing, eps = make_crossing(cid, 3, (loop_arc, last), over_in_pos, (first, loop_arc))
     else:
-        crossing, hints = make_crossing(cid, 3, (first, loop_arc), over_in_pos, (loop_arc, last))
+        crossing, eps = make_crossing(cid, 3, (first, loop_arc), over_in_pos, (loop_arc, last))
     return d.rebuild(
         replace=head_fix,
         drop_markers=drop,
         new_crossings=[crossing],
-        new_hints=hints,
+        new_signs={cid: eps},
     )
 
 
@@ -180,15 +174,15 @@ def _slide_r2(d: LinkDiagram, da_x: tuple[int, bool], da_y: tuple[int, bool], x_
         y_at_ce = (2, (m2, y_east))
         y_at_cw = (2, (y_west, m2))
     if x_over:
-        c1, h1 = make_crossing(cw, y_at_cw[0], y_at_cw[1], x_at_cw[0], x_at_cw[1])
-        c2, h2 = make_crossing(ce, y_at_ce[0], y_at_ce[1], x_at_ce[0], x_at_ce[1])
+        c1, s1 = make_crossing(cw, y_at_cw[0], y_at_cw[1], x_at_cw[0], x_at_cw[1])
+        c2, s2 = make_crossing(ce, y_at_ce[0], y_at_ce[1], x_at_ce[0], x_at_ce[1])
     else:
-        c1, h1 = make_crossing(cw, x_at_cw[0], x_at_cw[1], y_at_cw[0], y_at_cw[1])
-        c2, h2 = make_crossing(ce, x_at_ce[0], x_at_ce[1], y_at_ce[0], y_at_ce[1])
+        c1, s1 = make_crossing(cw, x_at_cw[0], x_at_cw[1], y_at_cw[0], y_at_cw[1])
+        c2, s2 = make_crossing(ce, x_at_ce[0], x_at_ce[1], y_at_ce[0], y_at_ce[1])
     return d.rebuild(
         replace={d.head(x): x2, d.head(y): y2},
         new_crossings=[c1, c2],
-        new_hints={**h1, **h2},
+        new_signs={cw: s1, ce: s2},
     )
 
 

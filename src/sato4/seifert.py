@@ -15,6 +15,7 @@ on polynomials in u = x^2).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from math import comb
 
@@ -89,7 +90,7 @@ def _reducing_pair(d: LinkDiagram, circle_of: dict[int, int]):
 
 def to_braid_form(d: LinkDiagram) -> LinkDiagram:
     """Apply type II slides until the Seifert circles are coherently nested."""
-    for _ in range(_BRAIDING_CAP):
+    for slides in itertools.count():
         circle_of = {}
         for idx, cyc in enumerate(seifert_circles(d)):
             for arc in cyc:
@@ -97,8 +98,9 @@ def to_braid_form(d: LinkDiagram) -> LinkDiagram:
         pair = _reducing_pair(d, circle_of)
         if pair is None:
             return d
+        if slides == _BRAIDING_CAP:
+            raise SeifertError(f"no braid form after {_BRAIDING_CAP} type-II slides")
         d = insert_r2(d, pair[0], pair[1], True)
-    raise SeifertError("braiding did not terminate")
 
 
 # -- braid structure -----------------------------------------------------------

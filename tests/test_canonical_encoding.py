@@ -10,8 +10,6 @@ must be byte-identical on every diagram the skein and the search build.
 import itertools
 import random
 
-import pytest
-
 from sato4.braids import braid_closure
 from sato4.conway import clear_memo, conway
 from sato4.diagram import LinkDiagram
@@ -60,39 +58,14 @@ def _seeded_closure(rng: random.Random, components: int):
             return d
 
 
-def _lk0_closure(rng: random.Random):
-    """A connected 2-component, linking-number-0 closure on 3 strands."""
-    while True:
-        word = [rng.choice((1, -1)) * rng.randint(1, 2) for _ in range(7)]
-        if len({abs(x) for x in word}) != 2:
-            continue
-        d = braid_closure(word, 3)
-        if d.component_count == 2 and d.linking_number(1, 2) == 0:
-            return d
-
-
-@pytest.fixture
-def built(monkeypatch):
-    """Every LinkDiagram constructed while the fixture is active."""
-    diagrams = []
-    init = LinkDiagram.__init__
-
-    def recording(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        diagrams.append(self)
-
-    monkeypatch.setattr(LinkDiagram, "__init__", recording)
-    return diagrams
-
-
-def test_encoding_matches_reference_on_built_diagrams(built):
+def test_encoding_matches_reference_on_built_diagrams(built, lk0_closure):
     rng = random.Random(20170)
     for components in range(1, 6):
         for _ in range(6):
             clear_memo()
             conway(_seeded_closure(rng, components))
     for _ in range(3):
-        assert auto_script(_lk0_closure(rng), SearchBudget(max_nodes=300)) is not None
+        assert auto_script(lk0_closure(rng), SearchBudget(max_nodes=300)) is not None
     clear_memo()
 
     def no_under_entry(d):

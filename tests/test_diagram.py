@@ -5,13 +5,18 @@ import random
 import pytest
 
 from sato4.braids import braid_closure
-from sato4.diagram import parse_pd
+from sato4.cli import main
+from sato4.conway import clear_memo, conway
+from sato4.diagram import LinkDiagram, parse_pd
 from sato4.errors import DiagramError, PDSyntaxError
+from sato4.rewrites import add_kink
+from sato4.search import SearchBudget, apply_move, auto_script, enumerate_moves
 
 HOPF = "PD[X[4,1,3,2],X[2,3,1,4]]"
 KINK_POS = "PD[X[1,1,2,2]]"
 KINK_NEG = "PD[X[1,2,2,1]]"
 TREFOIL = "PD[X[1,4,2,5],X[3,6,4,1],X[5,2,6,3]]"
+ALL_OVER = "PD[X[2,3,4,1], X[4,3,2,1]]"  # braid_closure([1, -1], 2)
 
 
 def test_parse_empty_with_markers():
@@ -221,13 +226,13 @@ def test_canonical_encoding_marker_count():
 
 
 def test_faces_euler_formula(corpus):
+    # V - E + F = 2 on each piece; markers take part in no face
     for entry in corpus:
         d = entry.diagram
-        if not d.connected() or not d.crossings:
-            continue
         v = len(d.crossings)
         e = len(d.arcs)
-        assert len(d.faces) == e - v + 2
+        assert len(d.faces) == e - v + 2 * d.pieces()
+    assert {e.diagram.pieces() for e in corpus} == {0, 1, 2}
 
 
 def test_braid_closure_conventions():
@@ -243,12 +248,79 @@ def test_braid_closure_conventions():
 
 
 def test_orientation_all_over_component_is_deterministic():
-    # one component of this code never passes under; parsing twice and
-    # relabeling agree on the resolved orientation
-    pd = "PD[X[1,2,3,4],X[3,4,1,2]]"
-    d1, d2 = parse_pd(pd), parse_pd(pd)
+    # the first component of this code never passes under; the
+    # sequential-numbering rule orients it (arc 3 enters crossing 1 at
+    # slot 1), and parsing twice agrees
+    d1, d2 = parse_pd(ALL_OVER), parse_pd(ALL_OVER)
     assert d1 == d2
-    assert d1.linking_number(1, 2) in (1, -1)
+    assert d1.components == ((1, 3), (2, 4))
+    assert [d1.sign(c.id) for c in d1.crossings] == [-1, 1]
+    assert d1.linking_number(1, 2) == 0
+
+
+def test_operations_keep_the_direction_of_an_all_over_component():
+    # the reverse of what parsing picks, so only the stored signs say it
+    d = LinkDiagram(parse_pd(ALL_OVER).crossings, (), {1: 1, 2: -1})
+    assert d != parse_pd(ALL_OVER)
+    for derived in (d.rebuild(), d.switch(1).switch(1), d.mirror().mirror()):
+        assert derived == d
+    kinked = add_kink(d, 2, 1)
+    assert [kinked.sign(cid) for cid in (1, 2, 3)] == [1, -1, 1]
+
+
+@pytest.mark.parametrize(
+    "pd",
+    # both have V - E + F = 0: they lie on a torus, not on a sphere
+    ["PD[X[1,2,3,4],X[3,4,1,2]]", "PD[X[1,4,2,5],X[5,2,6,3],X[3,1,4,6]]"],
+)
+def test_non_planar_codes_rejected(pd, capsys):
+    with pytest.raises(DiagramError, match="not planar"):
+        parse_pd(pd)
+    assert main(["conway", pd]) == 1
+    assert capsys.readouterr().err.startswith("error: PD code is not planar")
+
+
+def test_derived_diagrams_carry_parsed_signs(built, lk0_closure):
+    # switch, smooth and every rewrite build diagrams from signs; where
+    # the code alone fixes a crossing's sign, parsing must agree.  Random
+    # kinks, R2 insertions and R3 slides first put new crossings in.
+    rng = random.Random(19850)
+    for _ in range(6):
+        d = lk0_closure(rng)
+        for _ in range(3):
+            d = apply_move(d, rng.choice(enumerate_moves(d, include_sc=False, include_adds=True)))
+        clear_memo()
+        conway(d)
+        auto_script(d, SearchBudget(max_nodes=300))
+    clear_memo()
+    diagrams = list(built)
+    checked = skipped = 0
+    for d in diagrams:
+        parsed = parse_pd(d.serialize())  # renumbers crossings 1..n in id order
+        passes_under = {d.component_of(c.arcs[0]) for c in d.crossings}
+        for new_id, c in enumerate(d.crossings, 1):
+            if d.component_of(c.arcs[1]) in passes_under:
+                assert d.sign(c.id) == parsed.sign(new_id), d.serialize()
+                checked += 1
+            else:
+                skipped += 1
+    assert checked > 1000 and skipped > 0
+
+
+def test_one_wrong_sign_is_rejected(built, lk0_closure):
+    for pd in (KINK_POS, KINK_NEG, HOPF, TREFOIL, ALL_OVER):
+        parse_pd(pd)
+    rng = random.Random(2017)
+    for _ in range(3):
+        clear_memo()
+        conway(lk0_closure(rng))
+    clear_memo()
+    for d in list(built):
+        signs = {c.id: d.sign(c.id) for c in d.crossings}
+        assert LinkDiagram(d.crossings, d.markers, signs) == d
+        for cid in signs:
+            with pytest.raises(DiagramError, match="inconsistent orientation"):
+                LinkDiagram(d.crossings, d.markers, {**signs, cid: -signs[cid]})
 
 
 def test_component_indexing_by_smallest_arc():

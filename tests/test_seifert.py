@@ -164,3 +164,14 @@ def _int_det(rows):
 def test_matrix_must_be_square():
     with pytest.raises(SeifertError):
         SeifertMatrix(((1, 2),))
+
+
+def test_braiding_cap_names_itself(monkeypatch):
+    # this kinked trefoil needs exactly one type-II slide
+    kinked = add_kink(parse_pd(TREFOIL), 1, 1, True)
+    monkeypatch.setattr("sato4.seifert._BRAIDING_CAP", 0)
+    with pytest.raises(SeifertError, match=r"^no braid form after 0 type-II slides$"):
+        to_braid_form(kinked)
+    assert to_braid_form(parse_pd(TREFOIL)) == parse_pd(TREFOIL)  # no slide needed
+    monkeypatch.setattr("sato4.seifert._BRAIDING_CAP", 1)
+    assert len(to_braid_form(kinked).crossings) == 6
