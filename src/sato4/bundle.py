@@ -111,23 +111,18 @@ class TorusClass:
         return self.bits[3]
 
 
-def _line_bundle_w1(rep: TorusRep, i: int) -> TorusClass:
-    # pulls back the Moebius class along each circle factor on which the
-    # i-th diagonal entry of the holonomy is -1
-    return TorusClass.degree_one(
-        1 if rep.a.diag[i] == -1 else 0,
-        1 if rep.b.diag[i] == -1 else 0,
-    )
-
-
 def torus_w2_cup(rep: TorusRep) -> int:
-    """w2 of the flat rank-3 bundle, via the sum-of-line-bundles cup formula."""
-    w1 = [_line_bundle_w1(rep, i) for i in range(3)]
-    total = TorusClass((0, 0, 0, 0))
-    for i in range(3):
-        for j in range(i + 1, 3):
-            total = total + w1[i].cup(w1[j])
-    return total.top()
+    """w2 of the flat rank-3 bundle, via the sum-of-line-bundles cup formula.
+
+    The i-th line bundle pulls back the Moebius class along each circle
+    factor on which the i-th diagonal entry of the holonomy is -1, so its
+    w1 is a_i abar + b_i bbar with a_i = [rep.a.diag[i] = -1] and b_i
+    likewise.  Squares of degree-one classes vanish, so the top term of
+    the sum over i < j of w1_i w1_j is the sum over i != j of a_i b_j.
+    """
+    a = [x == -1 for x in rep.a.diag]
+    b = [x == -1 for x in rep.b.diag]
+    return (sum(a) * sum(b) - sum(x and y for x, y in zip(a, b))) % 2
 
 
 def torus_w2_surjectivity(rep: TorusRep) -> int:

@@ -206,7 +206,8 @@ def verify_corpus(root: Path, cal: Calibration | None = None) -> dict:
     """Run every corpus check; the report's ok flag mirrors the exit code.
 
     Per fixture: declared invariants, Conway coefficients, the skein
-    versus Seifert-matrix cross-check on connected diagrams, the oracle,
+    versus Seifert-matrix cross-check on connected diagrams, the oracle
+    (the z^3 smoothing sum) against the skein's z^3,
     phi per script, script independence, engine/oracle agreement, and all
     pairwise gluing reports (a lone script glues against itself).
     """
@@ -231,6 +232,8 @@ def verify_corpus(root: Path, cal: Calibration | None = None) -> dict:
         if d.lk0_violation is None:
             oracle = sato_levine_oracle(d, cal.s_cal)
             info["oracle"] = oracle
+            if oracle != cal.s_cal * nabla.coefficient(3):
+                failures.append(f"{entry.name}: z^3 smoothing sum disagrees with skein")
             info["verdict"] = "not slice" if oracle % 4 else ""
         # a script runs on the fixture's own diagram, so a movie exists only at lk 0
         movies = _scripted_movies(entry, failures)

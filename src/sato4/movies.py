@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import rewrites
 from .diagram import LinkDiagram, parse_pd
-from .errors import MoveError, ScriptError, ScriptSyntaxError
+from .errors import DiagramError, MoveError, ScriptError, ScriptSyntaxError
 
 __all__ = [
     "Move",
@@ -239,7 +239,7 @@ def run_script(script: HomotopyScript, diagram: LinkDiagram | None = None) -> Mo
     for idx, m in enumerate(script.moves):
         try:
             d, record = _apply(d, m)
-        except MoveError as e:
+        except (MoveError, DiagramError) as e:
             raise ScriptError(f"move {idx} ({m.kind}) failed: {e}") from e
         if record is not None:
             records.append(record)

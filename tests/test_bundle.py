@@ -97,6 +97,24 @@ def test_torus_w2_exhaustive():
     assert hits == 6
 
 
+def _w2_by_cup_products(rep):
+    # w1 of the i-th line bundle, then the top term of sum_{i<j} w1_i w1_j
+    w1 = [
+        TorusClass.degree_one(int(rep.a.diag[i] == -1), int(rep.b.diag[i] == -1))
+        for i in range(3)
+    ]
+    total = TorusClass((0, 0, 0, 0))
+    for i, j in itertools.combinations(range(3), 2):
+        total = total + w1[i].cup(w1[j])
+    return total.top()
+
+
+def test_torus_w2_closed_form_is_the_cup_product():
+    for a, b in itertools.product(V4.ALL, repeat=2):
+        rep = TorusRep(a, b)
+        assert torus_w2_cup(rep) == _w2_by_cup_products(rep), rep
+
+
 def test_torus_cohomology_ring():
     a = TorusClass.degree_one(1, 0)
     b = TorusClass.degree_one(0, 1)

@@ -1,15 +1,26 @@
 """Skein recursion, coefficients, and the integer oracle."""
 
 import random
+import time
 
 import pytest
 
 from sato4.braids import braid_closure
-from sato4.conway import _MEMO, ConwayPoly, _first_violation, clear_memo, conway, sato_levine_oracle
+from sato4.cli import main
+from sato4.conway import (
+    _MEMO,
+    ConwayPoly,
+    _first_violation,
+    clear_memo,
+    conway,
+    conway_coefficient,
+    sato_levine_oracle,
+)
 from sato4.diagram import parse_pd
 from sato4.errors import DiagramError
 from sato4.movies import apply_move
-from sato4.search import enumerate_moves
+from sato4.search import SearchBudget, auto_script, enumerate_moves
+from sato4.seifert import conway_from_seifert, seifert_matrix
 
 TREFOIL = "PD[X[1,4,2,5],X[3,6,4,1],X[5,2,6,3]]"
 HOPF = "PD[X[4,1,3,2],X[2,3,1,4]]"
@@ -204,3 +215,116 @@ def test_conway_poly_arithmetic():
     assert p.shift(2).as_list() == [0, 0, 1, 2]
     assert (p - p).is_zero()
     assert str(q) == "[0, -2, 3]"
+
+
+# -- the z^k coefficient as a sum over smoothing sets ---------------------------
+
+
+def _assert_sum_matches_skein(d):
+    p = conway(d)
+    for k in range(len(p.coeffs) + 2):
+        assert conway_coefficient(d, k) == p.coefficient(k), (k, d.serialize())
+
+
+def test_smoothing_sum_matches_skein_on_corpus(corpus):
+    for entry in corpus:
+        _assert_sum_matches_skein(entry.diagram)
+
+
+@pytest.mark.parametrize(
+    "text, k, value",
+    [
+        ("PD[] U[1]", 0, 1),
+        ("PD[] U[1]", 1, 0),
+        ("PD[] U[1] U[2]", 0, 0),
+        (TREFOIL + " U[7]", 0, 0),
+        ("PD[X[1,1,2,2]]", 0, 1),
+        (HOPF, 1, -1),
+    ],
+)
+def test_smoothing_sum_small_cases(text, k, value):
+    assert conway_coefficient(parse_pd(text), k) == value
+
+
+def test_smoothing_sum_rejects_negative_power():
+    with pytest.raises(ValueError):
+        conway_coefficient(parse_pd(TREFOIL), -1)
+
+
+def test_smoothing_sum_matches_skein_on_built_diagrams(built, lk0_closure):
+    # every diagram the skein and the search build from scrambled closures:
+    # kinks, split pieces, markers, and one to four components
+    rng = random.Random(3172)
+    for _ in range(6):
+        d = lk0_closure(rng)
+        for _ in range(3):
+            d = apply_move(d, rng.choice(enumerate_moves(d, include_sc=False, include_adds=True)))
+        clear_memo()
+        conway(d)
+        auto_script(d, SearchBudget(max_nodes=300))
+    clear_memo()
+    diagrams = list(built)
+    assert len(diagrams) > 500
+    assert {d.component_count for d in diagrams} >= {1, 2, 3}
+    assert any(d.markers for d in diagrams)
+    for d in diagrams:
+        _assert_sum_matches_skein(d)
+    clear_memo()
+
+
+def test_smoothing_sum_matches_skein_on_closures():
+    rng = random.Random(4711)
+    for components in range(1, 6):
+        found = 0
+        while found < 8:
+            strands = rng.randint(max(2, components), 5)
+            word, length = [], rng.randint(3, 12)
+            while len(word) < length:
+                letter = rng.choice((1, -1)) * rng.randint(1, strands - 1)
+                word += [letter] * rng.randint(1, 2)
+            d = braid_closure(word, strands)
+            if d.component_count == components:
+                _assert_sum_matches_skein(d)
+                found += 1
+    clear_memo()
+
+
+def _relabel_cyclically(d, shift):
+    ids = sorted(d.arcs)
+    new = {a: ids[(i + shift) % len(ids)] for i, a in enumerate(ids)}
+    body = ", ".join(f"X[{a},{b},{c},{e}]" for a, b, c, e in (
+        tuple(new[x] for x in cr.arcs) for cr in d.crossings
+    ))
+    return parse_pd(f"PD[{body}]")
+
+
+def test_smoothing_sum_does_not_depend_on_the_basepoint(corpus, lk0_closure):
+    rng = random.Random(808)
+    diagrams = [e.diagram for e in corpus if e.diagram.crossings and not e.diagram.markers]
+    diagrams += [lk0_closure(rng) for _ in range(4)]
+    for d in diagrams:
+        want = [conway_coefficient(d, k) for k in range(6)]
+        basepoints = set()
+        for shift in range(len(d.arcs)):
+            moved = _relabel_cyclically(d, shift)
+            # the same oriented diagram, the least arc elsewhere
+            assert [moved.sign(c.id) for c in moved.crossings] == [d.sign(c.id) for c in d.crossings]
+            basepoints.add(sorted(d.arcs)[-shift % len(d.arcs)])
+            assert [conway_coefficient(moved, k) for k in range(6)] == want, (d.serialize(), shift)
+        assert basepoints == set(d.arcs)
+
+
+def test_cli_beta_60_crossings_matches_seifert_in_under_a_second(capsys):
+    rng = random.Random(60)
+    while True:
+        word = [rng.choice((1, -1)) * rng.randint(1, 3) for _ in range(60)]
+        d = braid_closure(word, 4)
+        if d.lk0_violation is None:
+            break
+    text = d.serialize()
+    start = time.perf_counter()
+    assert main(["beta", text]) == 0
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, f"took {elapsed:.3f} s"
+    z3 = conway_from_seifert(seifert_matrix(parse_pd(text))).coefficient(3)
+    assert int(capsys.readouterr().out) == z3

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+import sato4.conway
 from sato4.cli import main
 from sato4.corpus import (
     Calibration,
@@ -115,6 +116,17 @@ def test_verify_corpus_ok(corpus_dir):
     assert report["fixtures"]["unlink2"]["gluing_note"] == "self-pair only"
 
 
+def test_verify_flags_smoothing_sum_disagreeing_with_skein(corpus_dir, corpus, monkeypatch):
+    real = sato4.conway.conway_coefficient
+    monkeypatch.setattr(sato4.conway, "conway_coefficient", lambda d, k: real(d, k) + 1)
+    report = verify_corpus(corpus_dir)
+    assert report["ok"] is False
+    lk0 = [e.name for e in corpus if e.diagram.lk0_violation is None]
+    assert "whitehead" in lk0
+    for name in lk0:
+        assert f"{name}: z^3 smoothing sum disagrees with skein" in report["failures"]
+
+
 def test_verify_is_deterministic(corpus_dir):
     a = json.dumps(verify_corpus(corpus_dir), sort_keys=True)
     b = json.dumps(verify_corpus(corpus_dir), sort_keys=True)
@@ -211,6 +223,17 @@ def test_cli_phi_corrupted_script(capsys, tmp_path, corpus_dir):
     bad.write_text(json.dumps(payload))
     assert main(["phi", "--script", str(bad)]) == 1
     assert capsys.readouterr().err.count("move 1") == 1
+
+
+@pytest.mark.parametrize("kind", ["sc", "r1_remove"])
+def test_cli_phi_missing_crossing_names_the_move(capsys, tmp_path, corpus_dir, kind):
+    payload = json.loads((corpus_dir / "whitehead" / "scripts" / "a.json").read_text())
+    payload["moves"] = [{"kind": kind, "crossing": 999}]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    assert main(["phi", "--script", str(bad)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err == f"error: script invalid: move 0 ({kind}) failed: unknown crossing id 999"
 
 
 def test_cli_phi_initial_diagram_error_is_not_terminal_state(capsys, tmp_path):
