@@ -5,8 +5,8 @@ Submodules:
 - ``diagram``: PD-code link diagrams, signs, smoothings, linking numbers.
 - ``braids``: braid-word closures as PD diagrams.
 - ``conway``: Conway polynomial by skein recursion; integer beta oracle.
-- ``seifert``: Seifert matrices via braid form; determinant route to the
-  Conway polynomial.
+- ``seifert``: Seifert matrices on the diagram's own Seifert surface;
+  determinant route to the Conway polynomial.
 - ``movies``: validated move scripts ending at the 2-component unlink,
   self-intersection records, phi and the integer engine invariant.
 - ``search``: best-effort search for unlinking scripts.

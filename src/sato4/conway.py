@@ -8,10 +8,10 @@ descending diagram and smoothing drops a crossing, so the recursion
 terminates; descending diagrams are split unlinks.
 
 Only recursive nodes are memoized, on the canonical encoding.  Leaves
-(a split diagram with a crossingless component, a crossingless diagram
-and a descending diagram) are answered before the key is built, since
-the key costs more than the answer.  The memo is the only shared state
-in the package: concurrent readers are fine, insertions are atomically
+(a disconnected diagram, a crossingless diagram and a descending
+diagram) are answered before the key is built, since the key costs
+more than the answer.  The memo is the only shared state in the
+package: concurrent readers are fine, insertions are atomically
 published dict writes, and losing a race merely recomputes an
 identical value.
 
@@ -126,9 +126,8 @@ def clear_memo() -> None:
 
 def conway(d: LinkDiagram) -> ConwayPoly:
     """The Conway polynomial of the oriented link presented by d."""
-    if d.crossings and d.markers:
-        # a crossingless component next to anything else: split link
-        return ConwayPoly.zero()
+    if not d.connected():
+        return ConwayPoly.zero()  # a split link, or no link at all
     cid = _first_violation(d) if d.crossings else None
     if cid is None:
         # crossingless or descending diagram: an unknot, or a split unlink
@@ -179,10 +178,10 @@ def conway_coefficient(d: LinkDiagram, k: int) -> int:
     """
     if k < 0:
         raise ValueError("powers of z are nonnegative")
-    if d.crossings and d.markers:
-        return 0  # a crossingless component next to anything else: split link
+    if not d.connected():
+        return 0  # a split link, or no link at all
     if not d.crossings:
-        return 1 if k == 0 and d.component_count == 1 else 0
+        return int(k == 0)  # one unknot marker
     glue = dict(pair for c in d.crossings for pair in d.smoothing_pairs(c.id))
     # arc -> (crossing it enters, entered under, next arc straight on, next arc smoothed)
     step = {}

@@ -1,12 +1,11 @@
 """Seifert matrices and the determinant route to the Conway polynomial.
 
-The diagram is first isotoped to a closed-braid form: while some face
-contains strands of two different Seifert circles running coherently
-with its boundary, slide one across the other (a type II move).  When no
-such face remains the circles are nested and coherently oriented, the
-circle/band adjacency is a path, and the bands between consecutive
-circles carry the usual consecutive-band homology basis, whose Seifert
-pairing is given by a fixed local rule table.
+The matrix is read off the diagram's own Seifert surface: smoothing
+every crossing along the orientation leaves disjoint oriented circles,
+each capped by a disc, and each crossing joins two discs by a
+half-twisted band (Seifert's algorithm; Lickorish, "An Introduction to
+Knot Theory", ch. 6).  The surface has rank c - s + 1 for c crossings
+and s circles, so the matrix never outgrows the diagram.
 
 The Conway polynomial is then det(x V - x^{-1} V^T) rewritten in
 z = x - x^{-1}, computed exactly over the integers (Bareiss elimination
@@ -15,24 +14,20 @@ on polynomials in u = x^2).
 
 from __future__ import annotations
 
-import itertools
+from collections import deque
 from dataclasses import dataclass
 from math import comb
 
 from .conway import ConwayPoly, poly_mul, poly_sub, poly_trim
 from .diagram import LinkDiagram, orbits
 from .errors import SeifertError
-from .rewrites import insert_r2
 
 __all__ = [
     "SeifertMatrix",
     "seifert_circles",
     "seifert_matrix",
     "conway_from_seifert",
-    "to_braid_form",
 ]
-
-_BRAIDING_CAP = 512
 
 
 @dataclass(frozen=True)
@@ -70,174 +65,127 @@ def seifert_circles(d: LinkDiagram) -> list[tuple[int, ...]]:
     return orbits(lambda arc: _smoothed_next(d, arc), d.arcs)
 
 
-# -- Vogel moves to braid form -------------------------------------------------
-
-
-def _reducing_pair(d: LinkDiagram, circle_of: dict[int, int]):
-    """Two same-direction face steps on different Seifert circles, if any."""
-    for face in d.faces:
-        for flag in (True, False):
-            members = [(arc, f) for arc, f in face if f == flag]
-            seen: dict[int, tuple[int, bool]] = {}
-            for arc, f in members:
-                c = circle_of[arc]
-                for c0, da0 in seen.items():
-                    if c0 != c:
-                        return da0, (arc, f)
-                seen.setdefault(c, (arc, f))
-    return None
-
-
-def to_braid_form(d: LinkDiagram) -> LinkDiagram:
-    """Apply type II slides until the Seifert circles are coherently nested."""
-    for slides in itertools.count():
-        circle_of = {}
-        for idx, cyc in enumerate(seifert_circles(d)):
-            for arc in cyc:
-                circle_of[arc] = idx
-        pair = _reducing_pair(d, circle_of)
-        if pair is None:
-            return d
-        if slides == _BRAIDING_CAP:
-            raise SeifertError(f"no braid form after {_BRAIDING_CAP} type-II slides")
-        d = insert_r2(d, pair[0], pair[1], True)
-
-
-# -- braid structure -----------------------------------------------------------
-
-
-def _braid_structure(d: LinkDiagram):
-    """Strand-ordered circles and per-annulus band positions of a braid-form diagram.
-
-    Returns (num_strands, bands) where bands maps each annulus k (between
-    strands k and k+1, 1-based) to its crossings in braid-word order,
-    and each crossing's sign.
-    """
-    circles = seifert_circles(d)
-    passages: dict[int, list[int]] = {i: [] for i in range(len(circles))}
-    joins: dict[int, list[int]] = {}
-    for idx, cyc in enumerate(circles):
-        for arc in cyc:
-            cid = d.head(arc)[0]
-            passages[idx].append(cid)
-            joins.setdefault(cid, []).append(idx)
-    neighbors: dict[int, set[int]] = {i: set() for i in range(len(circles))}
-    for cid, pair in joins.items():
-        if len(pair) != 2 or pair[0] == pair[1]:
-            raise SeifertError("band does not join two distinct circles")
-        neighbors[pair[0]].add(pair[1])
-        neighbors[pair[1]].add(pair[0])
-    # The circle adjacency must be a path; its order is the strand order.
-    ends = [i for i, ns in neighbors.items() if len(ns) == 1]
-    if len(circles) == 1:
-        order = [0] if not d.crossings else None
-    elif len(ends) == 2 and all(len(ns) <= 2 for ns in neighbors.values()):
-        order = [min(ends)]
-        while True:
-            nxt = [n for n in neighbors[order[-1]] if len(order) < 2 or n != order[-2]]
-            if not nxt:
-                break
-            order.append(nxt[0])
-    else:
-        order = None
-    if order is None or len(order) != len(circles):
-        raise SeifertError("Seifert circles are not in braid position")
-    strand = {c: k for k, c in enumerate(order)}
-
-    def annulus(cid: int) -> int:
-        a, b = (strand[j] for j in joins[cid])
-        if abs(a - b) != 1:
-            raise SeifertError("band joins non-adjacent strands")
-        return min(a, b) + 1
-
-    # Linearize: cut strand 1 anywhere, then cut each next circle so that
-    # the already-placed bands keep their order.
-    word: list[int] = []
-
-    def position(cid: int) -> int:
-        return word.index(cid)
-
-    first = list(passages[order[0]])
-    if first:
-        rot = first.index(min(first))
-        word.extend(first[rot:] + first[:rot])
-    for k in range(1, len(order) - 1):
-        lst = list(passages[order[k]])
-        old = [c for c in lst if c in word]
-        if not old:
-            raise SeifertError("adjacent strands share no band")
-        anchor = min(old, key=position)
-        i = lst.index(anchor)
-        lst = lst[i:] + lst[:i]
-        seq = [c for c in lst if c in word]
-        if seq != sorted(seq, key=position):
-            raise SeifertError("band orders around adjacent circles disagree")
-        cursor = position(lst[0])
-        for cid in lst[1:]:
-            if cid in word:
-                cursor = position(cid)
-            else:
-                cursor += 1
-                word.insert(cursor, cid)
-    bands: dict[int, list[int]] = {}
-    for cid in word:
-        bands.setdefault(annulus(cid), []).append(cid)
-    return len(order), bands, {cid: d.sign(cid) for cid in word}, word
-
-
-# -- the pairing rule table ------------------------------------------------------
-#
-# Pinned against the skein oracle on braid closures (see tests): the two
-# consecutive-band cycles through a shared positive band pair as
-# V[earlier, later] = -1, through a negative one as V[later, earlier] = +1;
-# a cycle whose two bands share a sign pairs with itself by that sign; and
-# for cycles on adjacent annuli interleaving as u1 < t1 < u2 < t2 (the
-# outer-annulus cycle starting first), V[outer, inner] = +1, while
-# t1 < u1 < t2 < u2 gives V[outer, inner] = -1.
-
-_DIAG = {(1, 1): 1, (-1, -1): -1, (1, -1): 0, (-1, 1): 0}
+# -- the surface and its cycle basis ---------------------------------------------
 
 
 def seifert_matrix(d: LinkDiagram) -> SeifertMatrix:
-    """Seifert matrix of a connected diagram via braid form.
+    """Seifert matrix of a connected diagram, on its own Seifert surface.
 
-    The basis: for each pair of braid-word-consecutive bands between the
-    same two strands, the cycle through both.  Validated through
-    conway_from_seifert agreeing with the skein recursion.
+    The model: each disc is shrunk to a flat collar on the left of its
+    circle, normal up, cut open between the circle's last and first
+    crossing.  (A clockwise disc lies on the right; flipping it over
+    about its edge is an isotopy of the surface.)  The band of crossing x
+    sits in a channel on the left of exactly one of its two circles, its
+    fold end f(x): the under strand's circle if x is positive, else the
+    over strand's.  The band leaves its other circle flat, makes its
+    half twist and folds over the collar of f(x) to reach its edge.  No
+    face, outer face or nesting enters the rule.
+
+    The basis has one cycle of the Seifert graph per band off a spanning
+    tree, so its size is c - s + 1.  A cycle crosses band x toward f(x)
+    (d(x) = +1) or away from it (-1).  On each circle it runs along the
+    collar from one band's foot to the next, forward or backward in
+    travel order (t = +1 or -1).
+
+    V(a, b) = lk(a, b+), counted at the crossings where a passes over
+    b+.  Off the bands b+ lies above a, so only a's passages through
+    bands count: V(a, b) is the sum over the bands x that a crosses of
+    d_a(x) w_b(x), where
+
+    - w_b(x) = d_b(x) (sign(x) - s) / 2 when b crosses x too, from the
+      half twist and the fold; s = +1 when b's route on f(x) runs
+      forward from x's foot, else -1;
+    - w_b(x) = -t when b's route on f(x) passes under x's fold;
+    - w_b(x) = 0 otherwise.
+
+    The overall sign is the one the skein fixes on 2-component links,
+    whose matrices have odd size.
     """
     if not d.connected():
         raise SeifertError("diagram is not connected; present a connected diagram of the link")
     if not d.crossings:
         return SeifertMatrix(())
-    b = to_braid_form(d)
-    _, bands, sign, word = _braid_structure(b)
-    pos = {cid: i for i, cid in enumerate(word)}
-    gens: list[tuple[int, int, int]] = []  # (annulus, first band, second band)
-    for k in sorted(bands):
-        run = bands[k]
-        gens.extend((k, run[i], run[i + 1]) for i in range(len(run) - 1))
-    n = len(gens)
-    V = [[0] * n for _ in range(n)]
-    for i, (k, b1, b2) in enumerate(gens):
-        V[i][i] = _DIAG[(sign[b1], sign[b2])]
-        for j, (k2, c1, c2) in enumerate(gens):
-            if j <= i:
-                continue
-            if k2 == k and c1 == b2:
-                # consecutive cycles sharing the band b2 (i earlier)
-                if sign[b2] > 0:
-                    V[i][j] = -1
-                else:
-                    V[j][i] = 1
-            elif k2 == k + 1 or k == k2 + 1:
-                lo, hi = (i, j) if k < k2 else (j, i)
-                t1, t2 = sorted((pos[gens[lo][1]], pos[gens[lo][2]]))
-                u1, u2 = sorted((pos[gens[hi][1]], pos[gens[hi][2]]))
-                if u1 < t1 < u2 < t2:
-                    V[hi][lo] = 1
-                elif t1 < u1 < t2 < u2:
-                    V[hi][lo] = -1
+    circles = seifert_circles(d)
+    circle_of = {arc: i for i, cyc in enumerate(circles) for arc in cyc}
+    order = [[d.head(arc)[0] for arc in cyc] for cyc in circles]
+    pos = [{x: k for k, x in enumerate(feet)} for feet in order]
+    ends = {}  # band -> (flat end, fold end)
+    for c in d.crossings:
+        under, over = circle_of[c.arcs[0]], circle_of[c.arcs[3 if d.sign(c.id) > 0 else 1]]
+        ends[c.id] = (over, under) if d.sign(c.id) > 0 else (under, over)
+    cycles = _cycle_basis(order, ends)
+    # weights[x]: (cycle b, w_b(x)) for every b with w_b(x) possibly nonzero
+    weights: dict[int, list[tuple[int, int]]] = {x: [] for x in ends}
+    for b, visits in enumerate(cycles):
+        for circle, enter, leave in visits:
+            i, j = pos[circle][enter], pos[circle][leave]
+            t = 1 if j > i else -1
+            for x in order[circle][min(i, j) + 1:max(i, j)]:
+                if ends[x][1] == circle:
+                    weights[x].append((b, -t))
+            if ends[enter][1] == circle:  # d = +1, s = t
+                weights[enter].append((b, (d.sign(enter) - t) // 2))
+            if ends[leave][1] == circle:  # d = -1, s = -t
+                weights[leave].append((b, -(d.sign(leave) + t) // 2))
+    V = [[0] * len(cycles) for _ in cycles]
+    for a, visits in enumerate(cycles):
+        for circle, enter, _ in visits:
+            d_a = 1 if ends[enter][1] == circle else -1
+            for b, w in weights[enter]:
+                V[a][b] += d_a * w
     return SeifertMatrix(tuple(tuple(row) for row in V))
+
+
+def _cycle_basis(
+    order: list[list[int]], ends: dict[int, tuple[int, int]]
+) -> list[list[tuple[int, int, int]]]:
+    """One cycle of the Seifert graph per band off a BFS spanning tree.
+
+    A cycle is a list of visits (circle, band entered by, band left by).
+    Bands are taken in travel order along their lower circle.  A band
+    next to an earlier one between the same two circles closes the
+    2-cycle through both, which keeps the matrix sparse on braid-like
+    diagrams; any other closes its cycle through the tree.
+    """
+    parent: dict[int, tuple[int, int] | None] = {0: None}  # circle -> (band, parent circle)
+    queue = deque([0])
+    while queue:
+        c = queue.popleft()
+        for x in order[c]:
+            nb = sum(ends[x]) - c  # the band's other circle
+            if nb not in parent:
+                parent[nb] = (x, c)
+                queue.append(nb)
+
+    def climb(c: int) -> list[int]:
+        chain = [c]
+        while parent[chain[-1]]:
+            chain.append(parent[chain[-1]][1])
+        return chain
+
+    def tree_path(a: int, b: int) -> list[tuple[int, int]]:
+        up, down = climb(a), climb(b)
+        while len(up) > 1 and len(down) > 1 and up[-2] == down[-2]:
+            up.pop()
+            down.pop()
+        return [parent[c] for c in up[:-1]] + [(parent[c][0], c) for c in reversed(down[:-1])]
+
+    tree = {p[0] for p in parent.values() if p}
+    cycles = []
+    for c, feet in enumerate(order):
+        last: dict[int, int] = {}  # higher circle -> the band to it last met along c
+        for x in feet:
+            flat, fold = ends[x]
+            other = flat + fold - c
+            if other < c:
+                continue
+            prev = last.get(other)
+            last[other] = x
+            if x in tree:
+                continue
+            steps = [(x, fold)] + ([(prev, flat)] if prev is not None else tree_path(fold, flat))
+            cycles.append([(to, band, steps[(k + 1) % len(steps)][0]) for k, (band, to) in enumerate(steps)])
+    return cycles
 
 
 # -- exact determinant route -------------------------------------------------------

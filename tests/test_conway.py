@@ -187,11 +187,13 @@ def test_memo_is_safe_under_concurrent_use(corpus):
         ("PD[] U[1] U[2]", []),
         ("PD[X[2,1,1,2]]", [1]),  # descending
         ("PD[X[2,3,4,1],X[4,3,2,1]]", []),
+        # two pieces, no marker
+        ("PD[X[1,4,2,5],X[3,6,4,1],X[5,2,6,3],X[7,10,8,11],X[9,12,10,7],X[11,8,12,9]]", []),
     ],
 )
 def test_leaves_build_no_memo_key(text, value):
     d = parse_pd(text)
-    if d.crossings and not d.markers:
+    if d.crossings and d.connected():
         assert _first_violation(d) is None
     clear_memo()
     assert conway(d).as_list() == value

@@ -1,18 +1,28 @@
-"""Outside input: random PD codes of at most 3 crossings.
+"""Outside input: random PD codes of at most 3 crossings, and random movie scripts.
 
 Every call returns a value or raises a typed Sato4Error, every CLI run
-exits 0, 1 or 2, and every accepted code is planar.
+exits 0, 1 or 2, every accepted code is planar, and every accepted
+connected code has the same Conway polynomial by both routes.
 """
 
 import contextlib
 import io
+import json
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sato4.cli import main
+from sato4.conway import conway
 from sato4.diagram import parse_pd
 from sato4.errors import Sato4Error
+from sato4.movies import HomotopyScript, phi, run_script
+from sato4.seifert import conway_from_seifert, seifert_matrix
+
+
+def _quiet_main(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
 
 
 @st.composite
@@ -39,9 +49,63 @@ def test_random_codes_give_a_value_or_a_typed_error(text):
         d = None
     if d is not None:
         assert len(d.faces) == len(d.crossings) + 2 * d.pieces()
+        if d.connected():
+            assert conway_from_seifert(seifert_matrix(d)) == conway(d)
     for command in ("conway", "lk", "beta"):
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            code = main([command, text])
+        code = _quiet_main([command, text])
         assert code in (0, 1, 2)
         if d is None:
             assert code != 0
+
+
+WHITEHEAD = "PD[X[2,4,5,1], X[4,3,6,7], X[7,8,9,5], X[8,6,3,11], X[11,2,1,9]]"
+# well-typed values most of the time, so that many moves reach their site checks
+_FIELD = {
+    "arc": st.integers(0, 12),
+    "arcs": st.lists(st.integers(0, 12), min_size=2, max_size=2),
+    "crossing": st.integers(0, 7),
+    "crossings": st.lists(st.integers(0, 7), min_size=2, max_size=3),
+    "sign": st.sampled_from([1, -1, 0, 2]),
+    "over_first": st.booleans(),
+    "over": st.booleans(),
+}
+_JUNK = st.one_of(st.none(), st.text(max_size=2), st.floats(allow_nan=False), st.lists(st.booleans(), max_size=2))
+
+
+def _rarely(draw) -> bool:
+    # a middle value: hypothesis draws the ends of a range more often
+    return draw(st.integers(0, 39)) == 20
+
+
+@st.composite
+def move_objects(draw):
+    kinds = ["r1_add", "r1_remove", "r2_add", "r2_remove", "r3", "sc"]
+    kind = draw(st.sampled_from(["r4", 7]) if _rarely(draw) else st.sampled_from(kinds))
+    obj = {"kind": kind}
+    for name, values in _FIELD.items():
+        # a kind reads its own fields and ignores the rest
+        if not _rarely(draw):
+            obj[name] = draw(_JUNK if _rarely(draw) else values)
+    return obj
+
+
+@st.composite
+def script_objects(draw):
+    link = draw(st.one_of(st.sampled_from([WHITEHEAD, "PD[] U[1] U[2]", "PD[X[4,1,3,2],X[2,3,1,4]]"]), pd_codes()))
+    obj = {"link": link, "moves": draw(st.lists(move_objects(), max_size=6))}
+    if _rarely(draw):
+        obj = draw(st.sampled_from([[obj], {"link": 3, "moves": []}, {"link": link, "moves": {}}, {}]))
+    return obj
+
+
+@settings(max_examples=300, deadline=None)
+@given(script_objects())
+def test_random_scripts_give_a_value_or_a_typed_error(tmp_path_factory, obj):
+    try:
+        phi(run_script(HomotopyScript.from_json(obj)))
+        codes = (0,)
+    except Sato4Error:
+        codes = (1, 2)
+    path = tmp_path_factory.mktemp("script") / "s.json"
+    path.write_text(json.dumps(obj))
+    assert _quiet_main(["phi", "--script", str(path)]) in codes
