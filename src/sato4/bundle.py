@@ -181,12 +181,14 @@ class XLambdaModel:
 def glue_movies(m1: MovieResult, m2: MovieResult, e_cal: int = 1) -> XLambdaModel:
     """Glue two movies of the same link into the closed-manifold model.
 
-    The second movie's double points enter with reversed sign (its
-    four-ball is orientation-reversed in the gluing); weights carry over
-    unchanged.
+    Both movies must start from the same diagram, up to renumbering the
+    crossings and order-preserving renaming of the arcs (equal canonical
+    encodings).  The second movie's double points enter with reversed
+    sign (its four-ball is orientation-reversed in the gluing); weights
+    carry over unchanged.
     """
     if m1.initial_encoding != m2.initial_encoding:
-        raise GluingError("movies certify different links")
+        raise GluingError("movies start from different diagrams")
     if e_cal not in (1, -1):
         raise ValueError("e_cal must be +1 or -1")
     records = [(r.w, e_cal * r.eps) for r in m1.records]

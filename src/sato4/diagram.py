@@ -68,22 +68,12 @@ def parse_pd(text: str) -> "LinkDiagram":
 
 
 def _parse_bracketed(body: str) -> "LinkDiagram":
-    crossings = []
-    markers = []
-    events = []
-    for m in _X_TOKEN.finditer(body):
-        events.append((m.start(), "X", tuple(int(g) for g in m.groups())))
-    for m in _U_TOKEN.finditer(body):
-        events.append((m.start(), "U", int(m.group(1))))
     leftover = _U_TOKEN.sub("", _X_TOKEN.sub("", body))
     leftover = re.sub(r"PD\s*\[", "", leftover)
     if leftover.strip(" \t\n,[]"):
         raise PDSyntaxError(f"unrecognized PD syntax near {leftover.strip()[:30]!r}")
-    for _, kind, payload in sorted(events):
-        if kind == "X":
-            crossings.append(payload)
-        else:
-            markers.append(payload)
+    crossings = [tuple(int(g) for g in m.groups()) for m in _X_TOKEN.finditer(body)]
+    markers = [int(m.group(1)) for m in _U_TOKEN.finditer(body)]
     return _build(crossings, markers)
 
 
@@ -488,83 +478,25 @@ class LinkDiagram:
 
     @cached_property
     def canonical_encoding(self) -> str:
-        """A string invariant under arc relabeling.
+        """A walk-order key: equal strings mean the same diagram up to relabeling.
 
-        Arcs are renumbered 1..n along each component from every candidate
-        basepoint and component order; the lexicographically least
-        relabeled crossing list wins.  Candidates are pruned by
-        relabeling-invariant restrictions only: components are grouped by
-        length, and basepoints are limited to arcs entering a crossing on
-        the under-strand whenever the component has any.  Crossing ids
-        never enter the encoding.
-
-        Every arc enters at most one crossing on slot 0, so a candidate's
-        crossing list in increasing order of the relabeled slot-0 arc is
-        already sorted: it is emitted in walk order, with no sort.  Each
-        relabeled crossing is compared with the best list so far as it is
-        emitted, and the candidate is dropped at its first larger one.
-        The string is the same as from sorting every candidate's list.
+        Arcs are renumbered 1..n along each component from its least arc,
+        components in index order, markers left out; each crossing lists
+        its renumbered slots and a 1 when it is negative, and the list is
+        sorted.  The key is unchanged by renumbering the crossings, by any
+        order-preserving renaming of the arcs and by any renaming of the
+        markers, and the diagram can be read back from it.  It is not
+        invariant under an arbitrary relabeling: moving a component's
+        least arc may change it.  A memo key, a visited set and a gluing
+        guard need only that equal keys mean the same diagram.
         """
         marker_set = set(self.markers)
-        cycles = [c for c in self.components if c[0] not in marker_set]
-        where: dict[int, tuple[int, int]] = {}
-        for ci, cyc in enumerate(cycles):
-            for pos, arc in enumerate(cyc):
-                where[arc] = (ci, pos)
-        # per cycle, in walk order: (position of the slot-0 arc,
-        # (cycle, position) of each slot's arc, 1 at a negative crossing)
-        entries: list[list[tuple]] = [[] for _ in cycles]
-        for c in self.crossings:
-            a, b, cc, d = c.arcs
-            ci, pos = where[a]
-            flag = 1 if self._sign[c.id] < 0 else 0
-            entries[ci].append((pos, (*where[a], *where[b], *where[cc], *where[d], flag)))
-        lengths = [len(cyc) for cyc in cycles]
-        starts: list[list[int]] = []
-        rotated: list[dict[int, list[tuple]]] = []
-        for ci, e in enumerate(entries):
-            e.sort()
-            seq = [slots for _, slots in e]
-            starts.append([pos for pos, _ in e] or list(range(lengths[ci])))
-            rotated.append({pos: seq[j:] + seq[:j] for j, (pos, _) in enumerate(e)})
-        groups: dict[int, list[int]] = {}
-        for idx, ln in enumerate(lengths):
-            groups.setdefault(ln, []).append(idx)
-        group_orders = [
-            itertools.permutations(groups[size]) for size in sorted(groups)
-        ]
-        first = [0] * len(cycles)  # label of each cycle's basepoint
-        rot = [0] * len(cycles)
-        best: list[tuple] | None = None
-        for parts in itertools.product(*group_orders):
-            order = [idx for part in parts for idx in part]
-            for rots in itertools.product(*(starts[i] for i in order)):
-                n = 1
-                emitted: list[tuple] = []
-                for idx, r in zip(order, rots):
-                    first[idx], rot[idx] = n, r
-                    n += lengths[idx]
-                    emitted += rotated[idx].get(r, ())
-                enc: list[tuple] = []
-                tied = best is not None
-                for c0, p0, c1, p1, c2, p2, c3, p3, flag in emitted:
-                    quad = (
-                        first[c0] + (p0 - rot[c0]) % lengths[c0],
-                        first[c1] + (p1 - rot[c1]) % lengths[c1],
-                        first[c2] + (p2 - rot[c2]) % lengths[c2],
-                        first[c3] + (p3 - rot[c3]) % lengths[c3],
-                        flag,
-                    )
-                    if tied:
-                        held = best[len(enc)]
-                        if quad > held:
-                            break
-                        tied = quad == held
-                    enc.append(quad)
-                else:
-                    if not tied:
-                        best = enc
-        body = ";".join(f"{a},{b},{c},{d}:{flag}" for a, b, c, d, flag in best or ())
+        walk = [arc for cyc in self.components if cyc[0] not in marker_set for arc in cyc]
+        label = {arc: n for n, arc in enumerate(walk, 1)}
+        quads = sorted(
+            (*(label[a] for a in c.arcs), 1 if self._sign[c.id] < 0 else 0) for c in self.crossings
+        )
+        body = ";".join(f"{a},{b},{c},{d}:{flag}" for a, b, c, d, flag in quads)
         return f"U{len(self.markers)}|{body}"
 
     # -- value semantics ---------------------------------------------------------

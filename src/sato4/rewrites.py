@@ -19,10 +19,10 @@ __all__ = [
     "make_crossing",
     "add_kink",
     "remove_kink",
-    "insert_r2",
+    "add_r2",
     "remove_r2",
     "slide_r3",
-    "find_bigons",
+    "bigon_arcs",
     "find_triangles",
     "kink_loop",
 ]
@@ -118,43 +118,22 @@ def remove_kink(d: LinkDiagram, cid: int) -> LinkDiagram:
 # -- R2 ---------------------------------------------------------------------
 
 
-def insert_r2(
-    d: LinkDiagram,
-    da_x: tuple[int, bool],
-    da_y: tuple[int, bool],
-    x_over: bool = True,
-) -> LinkDiagram:
-    """R2: slide arc x across a shared face over (or under) arc y.
-
-    The directed arcs must be steps of one face walk.
-    """
-    if da_x[0] == da_y[0]:
-        raise MoveError("cannot slide an arc across itself")
-    if not any(da_x in f and da_y in f for f in d.faces):
-        raise MoveError(f"arcs {da_x[0]} and {da_y[0]} do not cobound a face")
-    return _slide_r2(d, da_x, da_y, x_over)
-
-
 def add_r2(d: LinkDiagram, x: int, y: int, x_over: bool) -> LinkDiagram:
-    """R2 between two arcs named without direction, across the first face they share."""
+    """R2: slide arc x over (or under) arc y across the first face they share.
+
+    The fresh crossings cw and ce are west and east in the local picture
+    where the face walk runs x eastward below and y westward above.
+    """
     if x == y:
         raise MoveError("r2_add needs two distinct arcs")
     for face in d.faces:
         da_x = next((da for da in face if da[0] == x), None)
         da_y = next((da for da in face if da[0] == y), None)
         if da_x and da_y:
-            return _slide_r2(d, da_x, da_y, x_over)
-    raise MoveError(f"arcs {x} and {y} do not cobound a face")
-
-
-def _slide_r2(d: LinkDiagram, da_x: tuple[int, bool], da_y: tuple[int, bool], x_over: bool):
-    """The surgery of insert_r2 on two checked steps of one face.
-
-    The fresh crossings cw and ce are west and east in the local picture
-    where the face walk runs x eastward below and y westward above.
-    """
-    x, dx = da_x
-    y, dy = da_y
+            break
+    else:
+        raise MoveError(f"arcs {x} and {y} do not cobound a face")
+    dx, dy = da_x[1], da_y[1]
     x2, y2, m1, m2 = d.fresh_arc_ids(4)
     cw = d.fresh_crossing_id()
     ce = cw + 1
@@ -184,11 +163,6 @@ def _slide_r2(d: LinkDiagram, da_x: tuple[int, bool], da_y: tuple[int, bool], x_
         new_crossings=[c1, c2],
         new_signs={cw: s1, ce: s2},
     )
-
-
-def find_bigons(d: LinkDiagram) -> list[tuple[int, int]]:
-    """Corner pairs of faces bounded by exactly two arcs."""
-    return sorted(bigon_arcs(d))
 
 
 def bigon_arcs(d: LinkDiagram) -> dict[tuple[int, int], tuple[int, int]]:

@@ -1,72 +1,27 @@
-"""The canonical encoding against the product-and-sort algorithm it replaced.
+"""The walk-order key on every diagram the skein and the search build.
 
-``reference_encoding`` relabels every crossing for every candidate
-component order and basepoint, sorts the relabeled list and keeps the
-least.  ``LinkDiagram.canonical_encoding`` emits the same list in walk
-order and drops a candidate at its first larger crossing; the strings
-must be byte-identical on every diagram the skein and the search build.
+``LinkDiagram.canonical_encoding`` must survive what keeps the walk order
+(renumbering the crossings, order-preserving renaming of the arcs), and
+it must name one diagram: the diagram read back from the key has the
+same key and the same link.
 """
 
-import itertools
 import random
 
-from sato4.braids import braid_closure
 from sato4.conway import clear_memo, conway
-from sato4.diagram import LinkDiagram
+from sato4.diagram import Crossing, LinkDiagram
 from sato4.search import SearchBudget, auto_script
 
 
-def reference_encoding(d: LinkDiagram) -> str:
-    marker_set = set(d.markers)
-    cycles = [c for c in d.components if c[0] not in marker_set]
-    quads = [(c.arcs, 1 if d.is_incoming(c.id, 1) else 0) for c in d.crossings]
-    starts = []
-    for cyc in cycles:
-        under = [i for i, arc in enumerate(cyc) if d.head(arc)[1] == 0]
-        starts.append(under if under else list(range(len(cyc))))
-    groups = {}
-    for idx, cyc in enumerate(cycles):
-        groups.setdefault(len(cyc), []).append(idx)
-    group_orders = [itertools.permutations(groups[size]) for size in sorted(groups)]
-    best = None
-    for parts in itertools.product(*group_orders):
-        order = [idx for part in parts for idx in part]
-        for rots in itertools.product(*(starts[i] for i in order)):
-            label = {}
-            n = 0
-            for idx, rot in zip(order, rots):
-                cyc = cycles[idx]
-                for k in range(len(cyc)):
-                    n += 1
-                    label[cyc[(rot + k) % len(cyc)]] = n
-            enc = tuple(
-                sorted(((label[a], label[b], label[c], label[d]), flag) for (a, b, c, d), flag in quads)
-            )
-            if best is None or enc < best:
-                best = enc
-    body = ";".join(f"{a},{b},{c},{d}:{flag}" for (a, b, c, d), flag in (best or ()))
-    return f"U{len(d.markers)}|{body}"
-
-
-def _seeded_closure(rng: random.Random, components: int):
-    """A braid closure with the given number of components, 3 to 8 crossings."""
-    while True:
-        strands = rng.randint(max(2, components), components + 2)
-        word = [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(rng.randint(3, 8))]
-        d = braid_closure(word, strands)
-        if d.component_count == components:
-            return d
-
-
-def test_encoding_matches_reference_on_built_diagrams(built, lk0_closure):
+def _built_diagrams(built, lk0_closure) -> list[LinkDiagram]:
     rng = random.Random(20170)
-    for components in range(1, 6):
-        for _ in range(6):
-            clear_memo()
-            conway(_seeded_closure(rng, components))
+    for _ in range(12):
+        clear_memo()
+        conway(lk0_closure(rng))
     for _ in range(3):
         assert auto_script(lk0_closure(rng), SearchBudget(max_nodes=300)) is not None
     clear_memo()
+    diagrams = list(built)
 
     def no_under_entry(d):
         return any(
@@ -75,8 +30,55 @@ def test_encoding_matches_reference_on_built_diagrams(built, lk0_closure):
             if cyc[0] not in d.markers
         )
 
-    assert {d.component_count for d in built} >= {1, 2, 3, 4, 5}
-    assert any(d.markers and d.crossings for d in built)
-    assert any(no_under_entry(d) for d in built)
-    for d in built:
-        assert d.canonical_encoding == reference_encoding(d), d.serialize()
+    assert {d.component_count for d in diagrams} >= {1, 2, 3}
+    assert any(d.markers and d.crossings for d in diagrams)
+    assert any(no_under_entry(d) for d in diagrams)
+    return diagrams
+
+
+def _renamed(d: LinkDiagram, rng: random.Random) -> LinkDiagram:
+    """d with its arcs and markers renamed in order and its crossings renumbered."""
+    old = sorted(d.arcs | set(d.markers))
+    rename = dict(zip(old, sorted(rng.sample(range(1, 4 * len(old) + 1), len(old)))))
+    ids = rng.sample(range(1, 4 * len(d.crossings) + 1), len(d.crossings))
+    new_id = {c.id: i for c, i in zip(d.crossings, ids)}
+    return LinkDiagram(
+        [Crossing(new_id[c.id], tuple(rename[a] for a in c.arcs)) for c in d.crossings],
+        [rename[m] for m in d.markers],
+        signs={new_id[c.id]: d.sign(c.id) for c in d.crossings},
+    )
+
+
+def _read_back(key: str) -> LinkDiagram:
+    """The diagram a key names: its quads as crossings, its flags as signs."""
+    head, body = key.split("|")
+    quads = [entry.split(":") for entry in body.split(";")] if body else []
+    crossings = [Crossing(i, tuple(int(a) for a in q.split(","))) for i, (q, _) in enumerate(quads, 1)]
+    n = 2 * len(crossings)
+    return LinkDiagram(
+        crossings,
+        range(n + 1, n + 1 + int(head[1:])),
+        signs={i: -1 if flag == "1" else 1 for i, (_, flag) in enumerate(quads, 1)},
+    )
+
+
+def test_key_survives_order_preserving_renaming(built, lk0_closure):
+    rng = random.Random(4)
+    for d in _built_diagrams(built, lk0_closure):
+        assert _renamed(d, rng).canonical_encoding == d.canonical_encoding, d.serialize()
+
+
+def test_key_reads_back_the_diagram(built, lk0_closure):
+    compared = 0
+    for d in _built_diagrams(built, lk0_closure):
+        key = d.canonical_encoding
+        back = _read_back(key)
+        assert back.canonical_encoding == key, d.serialize()
+        if len(d.crossings) <= 8:
+            clear_memo()
+            want = conway(d)
+            clear_memo()
+            assert conway(back) == want, d.serialize()
+            compared += 1
+    clear_memo()
+    assert compared

@@ -58,14 +58,14 @@ def test_enumerate_lists_exactly_the_removable_bigons():
     import random
 
     from sato4.errors import MoveError
-    from sato4.rewrites import find_bigons, remove_r2
+    from sato4.rewrites import bigon_arcs, remove_r2
 
     rng = random.Random(3)
     seen = {True: 0, False: 0}
     for _ in range(40):
         d = braid_closure([rng.choice((1, -1)) * rng.randint(1, 2) for _ in range(8)], 3)
         listed = {m.crossings for m in enumerate_moves(d) if m.kind == "r2_remove"}
-        for pair in find_bigons(d):
+        for pair in bigon_arcs(d):
             try:
                 remove_r2(d, *pair)
                 removable = True

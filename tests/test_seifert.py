@@ -10,7 +10,7 @@ from sato4.braids import braid_closure
 from sato4.conway import ConwayPoly, conway, conway_coefficient
 from sato4.diagram import parse_pd
 from sato4.errors import SeifertError
-from sato4.rewrites import add_kink, insert_r2
+from sato4.rewrites import add_kink, add_r2
 from sato4.search import apply_move, enumerate_moves
 from sato4.seifert import (
     SeifertMatrix,
@@ -125,7 +125,7 @@ def test_dual_oracle_on_mutated_diagrams():
                 da2 = next((x for x in das if x[0] != da1[0]), None)
                 if da2 is None:
                     continue
-                d = insert_r2(d, da1, da2, rng.random() < 0.5)
+                d = add_r2(d, da1[0], da2[0], rng.random() < 0.5)
         _surface_agrees(d)
         tested += 1
 
