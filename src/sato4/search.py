@@ -5,6 +5,11 @@ crossing count, exploring simplifying Reidemeister moves, triangle
 slides and self-crossing changes.  Finding a movie is search-hard in
 general; a budget bound makes failure an expected outcome, in which case
 callers fall back to hand-written scripts.
+
+Expansion is lazy: expanding a diagram pushes one frontier entry per
+listed move, scored from the move alone, and the child diagram is built
+only when its entry is popped.  Duplicates are dropped at pop time, so
+each distinct diagram is expanded at most once.
 """
 
 from __future__ import annotations
@@ -23,6 +28,14 @@ __all__ = ["SearchBudget", "enumerate_moves", "auto_script"]
 
 @dataclass(frozen=True)
 class SearchBudget:
+    """Limits of one search.
+
+    ``max_nodes`` caps the distinct diagrams expanded, the final one
+    included; ``max_depth`` caps the script length; ``beam_width`` is the
+    number of frontier entries kept when the frontier outgrows four times
+    that many.
+    """
+
     max_nodes: int = 20000
     max_depth: int = 60
     beam_width: int = 512
@@ -69,6 +82,17 @@ def _score(d: LinkDiagram) -> tuple[int, int]:
     return (len(d.crossings), inter)
 
 
+def _child_score(d: LinkDiagram, score: tuple[int, int], m: Move) -> tuple[int, int]:
+    """``_score(apply_move(d, m))`` read off a removing, sliding or changing move."""
+    n, inter = score
+    if m.kind == "r1_remove":
+        return (n - 1, inter)  # a kink is a self-crossing
+    if m.kind == "r2_remove":
+        # both bigon crossings join the same two strands
+        return (n - 2, inter if d.is_self_crossing(m.crossings[0]) else inter - 2)
+    return score  # r3 and sc keep every crossing and its strands
+
+
 def auto_script(d: LinkDiagram, budget: SearchBudget = SearchBudget()) -> HomotopyScript | None:
     """Search for a validated movie from d to the 2-component unlink.
 
@@ -79,29 +103,35 @@ def auto_script(d: LinkDiagram, budget: SearchBudget = SearchBudget()) -> Homoto
         raise ScriptError(d.lk0_violation)
     start_pd = d.serialize()
     counter = itertools.count()
-    heap: list = [(_score(d), 0, next(counter), d, ())]
-    seen = {d.canonical_encoding}
+    # (score, depth, counter, parent, move, parent's path); the root has no parent
+    heap: list = [(_score(d), 0, next(counter), None, None, ())]
+    seen: set[str] = set()
     nodes = 0
     while heap and nodes < budget.max_nodes:
         if len(heap) > 4 * budget.beam_width:
             heap = heapq.nsmallest(budget.beam_width, heap)
             heapq.heapify(heap)
-        (_, depth, _, cur, path) = heapq.heappop(heap)
+        (score, depth, _, parent, move, path) = heapq.heappop(heap)
+        if parent is None:
+            cur = d
+        else:
+            try:
+                cur = apply_move(parent, move)
+            except MoveError:
+                continue
+            path += (move,)
+        key = cur.canonical_encoding
+        if key in seen:
+            continue
+        seen.add(key)
         nodes += 1
         if not cur.crossings and cur.component_count == 2:
-            script = HomotopyScript(link=start_pd, moves=tuple(path))
+            script = HomotopyScript(link=start_pd, moves=path)
             run_script(script, d)
             return script
         if depth >= budget.max_depth:
             continue
         for m in enumerate_moves(cur):
-            try:
-                nxt = apply_move(cur, m)
-            except MoveError:
-                continue
-            key = nxt.canonical_encoding
-            if key in seen:
-                continue
-            seen.add(key)
-            heapq.heappush(heap, (_score(nxt), depth + 1, next(counter), nxt, path + (m,)))
+            entry = (_child_score(cur, score, m), depth + 1, next(counter), cur, m, path)
+            heapq.heappush(heap, entry)
     return None

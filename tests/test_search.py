@@ -1,12 +1,49 @@
 """Best-effort unlinking search."""
 
+import json
+import random
+
 import pytest
 
+import sato4.search
 from sato4.braids import braid_closure
 from sato4.diagram import parse_pd
 from sato4.errors import ScriptError
-from sato4.movies import run_script
-from sato4.search import SearchBudget, auto_script, enumerate_moves
+from sato4.movies import apply_move, run_script
+from sato4.search import SearchBudget, _child_score, _score, auto_script, enumerate_moves
+
+WHITEHEAD_SCRIPT = {
+    "link": "PD[X[2,4,5,1], X[4,3,6,7], X[7,8,9,5], X[8,6,3,11], X[11,2,1,9]]",
+    "moves": [
+        {"kind": "sc", "crossing": 3},
+        {"kind": "r3", "crossings": [1, 2, 3]},
+        {"kind": "r2_remove", "crossings": [1, 4]},
+        {"kind": "r2_remove", "crossings": [2, 5]},
+        {"kind": "r1_remove", "crossing": 3},
+    ],
+}
+
+
+def _scrambled(lk0_closure, rng: random.Random, moves: int):
+    """A 2-component lk-0 closure changed by random moves, adds included."""
+    d = lk0_closure(rng)
+    for _ in range(moves):
+        d = apply_move(d, rng.choice(enumerate_moves(d, include_sc=False, include_adds=True)))
+    return d
+
+
+def _counting(monkeypatch) -> dict:
+    """Count the search's enumerate_moves and apply_move calls."""
+    counts = {"enumerate_moves": 0, "apply_move": 0}
+    for name in counts:
+        original = getattr(sato4.search, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(sato4.search, name, counted)
+    return counts
 
 
 def test_crossingless_input_gives_empty_script():
@@ -74,3 +111,40 @@ def test_enumerate_lists_exactly_the_removable_bigons():
             assert (pair in listed) == removable
             seen[removable] += 1
     assert seen[True] and seen[False]  # both reducible bigons and clasps occurred
+
+
+def test_child_score_is_the_score_of_the_built_child(built, lk0_closure):
+    rng = random.Random(6110)
+    for _ in range(6):
+        auto_script(_scrambled(lk0_closure, rng, 4), SearchBudget(max_nodes=300))
+    diagrams = list(built) + [_scrambled(lk0_closure, rng, 6) for _ in range(10)]
+    kinds, self_bigon = set(), set()
+    for d in diagrams:
+        score = _score(d)
+        for m in enumerate_moves(d):
+            assert _child_score(d, score, m) == _score(apply_move(d, m)), (d.serialize(), m)
+            kinds.add(m.kind)
+            if m.kind == "r2_remove":
+                self_bigon.add(d.is_self_crossing(m.crossings[0]))
+    assert kinds == {"r1_remove", "r2_remove", "r3", "sc"}
+    assert self_bigon == {True, False}
+
+
+def test_search_builds_only_the_children_it_pops(monkeypatch, lk0_closure):
+    rng = random.Random(2034)
+    scrambles = [_scrambled(lk0_closure, rng, 5) for _ in range(12)]
+    counts = _counting(monkeypatch)
+    for d in scrambles:
+        counts.update(enumerate_moves=0, apply_move=0)
+        assert auto_script(d) is not None
+        assert counts["apply_move"] <= 2 * counts["enumerate_moves"], (d.serialize(), counts)
+
+
+def test_max_nodes_counts_distinct_diagrams_expanded(monkeypatch):
+    d = braid_closure([1, -2, 1, -2, 1], 3)
+    counts = _counting(monkeypatch)
+    script = auto_script(d)
+    assert json.dumps(script.to_json()) == json.dumps(WHITEHEAD_SCRIPT)
+    expanded = counts["enumerate_moves"]
+    assert auto_script(d, SearchBudget(max_nodes=expanded + 1)) == script
+    assert auto_script(d, SearchBudget(max_nodes=expanded)) is None
