@@ -11,6 +11,15 @@ the four-dimensional intersection sign of a crossing change.  Only
 their product is observable (flipping both changes nothing anywhere),
 so calibration normalizes s_cal = +1 and solves for the unique e_cal
 making the engine equal the oracle on every scripted fixture.
+
+``verify_corpus`` merges three checks into each fixture's report entry,
+each writing its keys where they apply.  Polynomials (the skein against
+the Seifert route and the z^3 smoothing sum) writes ``components``,
+``conway``, ``linking_number``, ``seifert_oracle_agrees``, ``oracle``
+and ``verdict``.  Movies (phi and beta_engine of each script's movie
+against the oracle) writes ``scripts`` and ``script_independent``.
+Gluing writes ``gluing`` and, for a lone movie glued against itself,
+``gluing_note``.
 """
 
 from __future__ import annotations
@@ -143,19 +152,6 @@ def load_corpus(root: Path) -> list[CorpusEntry]:
     return entries
 
 
-def _scripted_movies(entry: CorpusEntry, failures: list[str] | None = None) -> list[MovieResult]:
-    """Run a fixture's scripts on its diagram; failures go to ``failures`` if given, else raise."""
-    movies = []
-    for script in entry.scripts:
-        try:
-            movies.append(run_script(script, entry.diagram))
-        except ScriptError as e:
-            if failures is None:
-                raise
-            failures.append(f"{entry.name}/{script.name}: {e}")
-    return movies
-
-
 def calibrate_movies(data: list[tuple[int, int]]) -> Calibration:
     """Solve for the signs from (oracle-at-s=+1, raw-engine) pairs.
 
@@ -180,7 +176,8 @@ def calibrate(root: Path) -> Calibration:
     """Calibrate against every scripted fixture in the corpus and persist."""
     data = []
     for entry in load_corpus(root):
-        for movie in _scripted_movies(entry):
+        for script in entry.scripts:
+            movie = run_script(script, entry.diagram)
             data.append((sato_levine_oracle(entry.diagram, 1), beta_engine(movie, 1)))
     if not data:
         raise CalibrationError("no scripted fixtures to calibrate against")
@@ -202,76 +199,88 @@ def load_calibration(root: Path) -> Calibration:
     return Calibration.from_json(json.loads(f.read_text()))
 
 
-def verify_corpus(root: Path, cal: Calibration | None = None) -> dict:
-    """Run every corpus check; the report's ok flag mirrors the exit code.
+def _check_polynomials(entry: CorpusEntry, s_cal: int) -> tuple[dict, list[str]]:
+    """The skein against the Seifert route and the z^3 smoothing sum; the verdict."""
+    d = entry.diagram
+    nabla = conway(d)
+    info: dict = {"components": entry.components, "conway": nabla.as_list()}
+    failures = []
+    if entry.components == 2:
+        info["linking_number"] = d.linking_number(1, 2)
+    if d.connected():
+        info["seifert_oracle_agrees"] = conway_from_seifert(seifert_matrix(d)) == nabla
+        if not info["seifert_oracle_agrees"]:
+            failures.append(f"{entry.name}: Seifert-matrix Conway disagrees with skein")
+    if d.lk0_violation is None:
+        info["oracle"] = oracle = sato_levine_oracle(d, s_cal)
+        if oracle != s_cal * nabla.coefficient(3):
+            failures.append(f"{entry.name}: z^3 smoothing sum disagrees with skein")
+        info["verdict"] = "not slice" if oracle % 4 else ""
+    return info, failures
 
-    Per fixture: declared invariants, Conway coefficients, the skein
-    versus Seifert-matrix cross-check on connected diagrams, the oracle
-    (the z^3 smoothing sum) against the skein's z^3,
-    phi per script, script independence, engine/oracle agreement, and all
-    pairwise gluing reports (a lone script glues against itself).
+
+def _check_movies(entry: CorpusEntry, e_cal: int, oracle: int | None) -> tuple[dict, list, list]:
+    """phi and beta_engine of each script's movie against the oracle, and script independence.
+
+    A script runs only at lk 0, where ``oracle`` is set.  The movies are returned too.
     """
+    failures = []
+    movies = []
+    for script in entry.scripts:
+        try:
+            movies.append(run_script(script, entry.diagram))
+        except ScriptError as e:
+            failures.append(f"{entry.name}/{script.name}: {e}")
+    scripts = {}
+    for movie in movies:
+        sphi = phi(movie, e_cal)
+        sbeta = beta_engine(movie, e_cal)
+        scripts[movie.name] = {"phi": sphi, "beta_engine": sbeta, "records": movie.records_json()}
+        if sphi != oracle % 4:
+            failures.append(f"{entry.name}/{movie.name}: phi {sphi} != oracle mod 4 {oracle % 4}")
+        if sbeta != oracle:
+            failures.append(f"{entry.name}/{movie.name}: engine {sbeta} != oracle {oracle}")
+    info: dict = {"scripts": scripts}
+    if scripts:
+        phis = [s["phi"] for s in scripts.values()]
+        info["script_independent"] = len(set(phis)) == 1
+        if not info["script_independent"]:
+            failures.append(f"{entry.name}: phi differs between scripts: {phis}")
+    return info, failures, movies
+
+
+def _check_gluing(name: str, movies: list[MovieResult], e_cal: int) -> tuple[dict, list[str]]:
+    """Every pairwise gluing report; a lone movie glues against itself."""
+    pairs = list(itertools.combinations(movies, 2)) or [(m, m) for m in movies]
+    info: dict = {"gluing_note": "self-pair only"} if len(movies) == 1 else {}
+    failures = []
+    gluing = []
+    for m1, m2 in pairs:
+        try:
+            report = verify_gluing(m1, m2, e_cal)
+        except GluingError as e:
+            failures.append(f"{name}: gluing {m1.name}/{m2.name}: {e}")
+            continue
+        gluing.append({"pair": [m1.name, m2.name], **report.to_json()})
+        if not report.passed:
+            failures.append(f"{name}: gluing report {m1.name}/{m2.name} failed")
+    if gluing:
+        info["gluing"] = gluing
+    return info, failures
+
+
+def verify_corpus(root: Path) -> dict:
+    """Run every check on every fixture under ``calibration.json``; ok mirrors the exit code."""
     root = Path(root)
-    if cal is None:
-        cal = load_calibration(root)
-    entries = load_corpus(root)
+    cal = load_calibration(root)
     failures: list[str] = []
     fixtures: dict[str, dict] = {}
-    for entry in entries:
-        info: dict = {"components": entry.components}
-        d = entry.diagram
-        nabla = conway(d)
-        info["conway"] = nabla.as_list()
-        if entry.components == 2:
-            info["linking_number"] = d.linking_number(1, 2)
-        if d.connected():
-            dual_ok = conway_from_seifert(seifert_matrix(d)) == nabla
-            info["seifert_oracle_agrees"] = dual_ok
-            if not dual_ok:
-                failures.append(f"{entry.name}: Seifert-matrix Conway disagrees with skein")
-        if d.lk0_violation is None:
-            oracle = sato_levine_oracle(d, cal.s_cal)
-            info["oracle"] = oracle
-            if oracle != cal.s_cal * nabla.coefficient(3):
-                failures.append(f"{entry.name}: z^3 smoothing sum disagrees with skein")
-            info["verdict"] = "not slice" if oracle % 4 else ""
-        # a script runs on the fixture's own diagram, so a movie exists only at lk 0
-        movies = _scripted_movies(entry, failures)
-        info["scripts"] = {}
-        for movie in movies:
-            sphi = phi(movie, cal.e_cal)
-            sbeta = beta_engine(movie, cal.e_cal)
-            srec = {"phi": sphi, "beta_engine": sbeta, "records": movie.records_json()}
-            info["scripts"][movie.name] = srec
-            if sphi != oracle % 4:
-                failures.append(
-                    f"{entry.name}/{movie.name}: phi {sphi} != oracle mod 4 {oracle % 4}"
-                )
-            if sbeta != oracle:
-                failures.append(f"{entry.name}/{movie.name}: engine {sbeta} != oracle {oracle}")
-        phis = [s["phi"] for s in info["scripts"].values()]
-        if phis:
-            info["script_independent"] = len(set(phis)) == 1
-            if not info["script_independent"]:
-                failures.append(f"{entry.name}: phi differs between scripts: {phis}")
-        gluing = []
-        if len(movies) == 1:
-            pairs = [(movies[0], movies[0])]
-            info["gluing_note"] = "self-pair only"
-        else:
-            pairs = list(itertools.combinations(movies, 2))
-        for m1, m2 in pairs:
-            try:
-                report = verify_gluing(m1, m2, cal.e_cal)
-            except GluingError as e:
-                failures.append(f"{entry.name}: gluing {m1.name}/{m2.name}: {e}")
-                continue
-            gluing.append({"pair": [m1.name, m2.name], **report.to_json()})
-            if not report.passed:
-                failures.append(f"{entry.name}: gluing report {m1.name}/{m2.name} failed")
-        if gluing:
-            info["gluing"] = gluing
-        fixtures[entry.name] = info
+    for entry in load_corpus(root):
+        info, failed = _check_polynomials(entry, cal.s_cal)
+        movie_info, movie_failed, movies = _check_movies(entry, cal.e_cal, info.get("oracle"))
+        gluing_info, gluing_failed = _check_gluing(entry.name, movies, cal.e_cal)
+        fixtures[entry.name] = {**info, **movie_info, **gluing_info}
+        failures += failed + movie_failed + gluing_failed
     return {
         "calibration": cal.to_json(),
         "fixtures": fixtures,

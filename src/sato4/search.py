@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from . import rewrites
 from .diagram import LinkDiagram
 from .errors import MoveError, ScriptError
-from .movies import HomotopyScript, Move, apply_move, run_script
+from .movies import HomotopyScript, Move, apply_move
 
 __all__ = ["SearchBudget", "enumerate_moves", "auto_script"]
 
@@ -94,10 +94,10 @@ def _child_score(d: LinkDiagram, score: tuple[int, int], m: Move) -> tuple[int, 
 
 
 def auto_script(d: LinkDiagram, budget: SearchBudget = SearchBudget()) -> HomotopyScript | None:
-    """Search for a validated movie from d to the 2-component unlink.
+    """Search for a movie from d to the 2-component unlink.
 
-    Returns None when the budget runs out.  Any returned script has been
-    re-validated with run_script.
+    Returns None when the budget runs out.  A returned script is not
+    replayed, so callers that need the movie run ``run_script`` on it.
     """
     if d.lk0_violation:
         raise ScriptError(d.lk0_violation)
@@ -126,9 +126,7 @@ def auto_script(d: LinkDiagram, budget: SearchBudget = SearchBudget()) -> Homoto
         seen.add(key)
         nodes += 1
         if not cur.crossings and cur.component_count == 2:
-            script = HomotopyScript(link=start_pd, moves=path)
-            run_script(script, d)
-            return script
+            return HomotopyScript(link=start_pd, moves=path)
         if depth >= budget.max_depth:
             continue
         for m in enumerate_moves(cur):

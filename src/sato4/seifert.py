@@ -49,20 +49,10 @@ class SeifertMatrix:
 # -- Seifert circles ----------------------------------------------------------
 
 
-def _smoothed_next(d: LinkDiagram, arc: int) -> int:
-    """Successor of an arc after orienting-smoothing every crossing."""
-    cid, slot = d.head(arc)
-    crossing = d.crossing(cid)
-    if slot == 0:
-        out = 1 if d.sign(cid) > 0 else 3
-    else:
-        out = 2
-    return crossing.arcs[out]
-
-
 def seifert_circles(d: LinkDiagram) -> list[tuple[int, ...]]:
     """The cycles of arcs obtained by smoothing every crossing."""
-    return orbits(lambda arc: _smoothed_next(d, arc), d.arcs)
+    glue = dict(pair for c in d.crossings for pair in d.smoothing_pairs(c.id))
+    return orbits(glue.__getitem__, glue)
 
 
 # -- the surface and its cycle basis ---------------------------------------------

@@ -5,6 +5,7 @@ import json
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +21,9 @@ from sato4.corpus import (
     verify_corpus,
 )
 from sato4.errors import CalibrationError, CorpusError, ScriptSyntaxError
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+BROKEN_MOVE = "move 2 (r2_remove) failed: crossings 1,5 do not cobound a bigon"
 
 
 def test_corpus_loads_with_declared_invariants(corpus):
@@ -131,6 +135,36 @@ def test_verify_is_deterministic(corpus_dir):
     a = json.dumps(verify_corpus(corpus_dir), sort_keys=True)
     b = json.dumps(verify_corpus(corpus_dir), sort_keys=True)
     assert a == b
+
+
+def test_cli_verify_matches_golden_report(tmp_path, corpus_dir, capsys):
+    # report and table written by the shipped corpus before the checks were split
+    work = tmp_path / "corpus"
+    shutil.copytree(corpus_dir, work)
+    out = tmp_path / "report.json"
+    assert main(["verify", str(work), "--json", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "verify_report.json").read_bytes()
+    table = (GOLDEN / "verify_stdout.txt").read_text()
+    assert capsys.readouterr().out == f"{table}report written to {out}\n"
+
+
+def test_broken_script_move_fails_calibrate_and_is_listed_by_verify(tmp_path, corpus_dir, capsys):
+    work = tmp_path / "corpus"
+    shutil.copytree(corpus_dir, work)
+    script = work / "whitehead" / "scripts" / "a.json"
+    obj = json.loads(script.read_text())
+    obj["moves"][2]["crossings"] = [1, 5]
+    script.write_text(json.dumps(obj))
+    assert main(["calibrate", str(work)]) == 1
+    assert capsys.readouterr().err == f"error: {BROKEN_MOVE}\n"
+    report = verify_corpus(work)
+    assert report["failures"] == [f"whitehead/a: {BROKEN_MOVE}"]
+    golden = json.loads((GOLDEN / "verify_report.json").read_text())["fixtures"]
+    assert report["fixtures"].keys() == golden.keys()
+    for name, info in report["fixtures"].items():
+        if name != "whitehead":
+            assert info == golden[name], name
+    assert list(report["fixtures"]["whitehead"]["scripts"]) == ["b"]
 
 
 def test_verify_flags_wrong_link_script(tmp_path, corpus_dir, capsys):

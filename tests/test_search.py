@@ -136,8 +136,12 @@ def test_search_builds_only_the_children_it_pops(monkeypatch, lk0_closure):
     counts = _counting(monkeypatch)
     for d in scrambles:
         counts.update(enumerate_moves=0, apply_move=0)
-        assert auto_script(d) is not None
+        script = auto_script(d)
+        assert script is not None
         assert counts["apply_move"] <= 2 * counts["enumerate_moves"], (d.serialize(), counts)
+        # the search does not replay what it returns; the movie must still reach the unlink
+        final = run_script(script, d).final
+        assert not final.crossings and final.component_count == 2
 
 
 def test_max_nodes_counts_distinct_diagrams_expanded(monkeypatch):
