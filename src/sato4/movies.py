@@ -31,8 +31,8 @@ __all__ = [
 ]
 
 # kind -> its JSON fields in output order, as (name, type, required); an
-# optional field takes the Move default.  A list field holds integers and
-# becomes a tuple on the Move.
+# optional field takes the Move default, and no other field is accepted.
+# A list field holds integers and becomes a tuple on the Move.
 _FIELDS = {
     "r1_add": (("arc", int, True), ("sign", int, False), ("over_first", bool, False)),
     "r1_remove": (("crossing", int, True),),
@@ -74,6 +74,10 @@ class Move:
         kind = obj.get("kind")
         if kind not in _FIELDS:
             raise ScriptSyntaxError(f"unknown move kind {kind!r}")
+        names = {"kind"} | {name for name, _, _ in _FIELDS[kind]}
+        for key in obj:
+            if key not in names:
+                raise ScriptSyntaxError(f"{kind} move has unknown field {key!r}")
         values = {}
         for name, typ, required in _FIELDS[kind]:
             if name in obj:

@@ -3,8 +3,12 @@
 Best-first over diagrams, scored by crossing count then inter-component
 crossing count, exploring simplifying Reidemeister moves, triangle
 slides and self-crossing changes.  Finding a movie is search-hard in
-general; a budget bound makes failure an expected outcome, in which case
-callers fall back to hand-written scripts.
+general, so one budget bounds it: ``max_nodes``, the distinct diagrams
+expanded.  When the frontier outgrows four times ``_BEAM`` entries it
+is cut to the ``_BEAM`` best.  ``None`` means the budget ran out or the
+frontier emptied, in which case callers fall back to hand-written
+scripts.  No move the search tries grows the diagram, so the reachable
+set is finite and script length needs no cap of its own.
 
 Expansion is lazy: expanding a diagram pushes one frontier entry per
 listed move, scored from the move alone, and the child diagram is built
@@ -16,29 +20,16 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
 
 from . import rewrites
 from .diagram import LinkDiagram
 from .errors import MoveError, ScriptError
 from .movies import HomotopyScript, Move, apply_move
 
-__all__ = ["SearchBudget", "enumerate_moves", "auto_script"]
+__all__ = ["enumerate_moves", "auto_script"]
 
-
-@dataclass(frozen=True)
-class SearchBudget:
-    """Limits of one search.
-
-    ``max_nodes`` caps the distinct diagrams expanded, the final one
-    included; ``max_depth`` caps the script length; ``beam_width`` is the
-    number of frontier entries kept when the frontier outgrows four times
-    that many.
-    """
-
-    max_nodes: int = 20000
-    max_depth: int = 60
-    beam_width: int = 512
+# frontier entries kept when the frontier outgrows four times this many
+_BEAM = 512
 
 
 def enumerate_moves(
@@ -93,23 +84,26 @@ def _child_score(d: LinkDiagram, score: tuple[int, int], m: Move) -> tuple[int, 
     return score  # r3 and sc keep every crossing and its strands
 
 
-def auto_script(d: LinkDiagram, budget: SearchBudget = SearchBudget()) -> HomotopyScript | None:
+def auto_script(d: LinkDiagram, max_nodes: int = 20000) -> HomotopyScript | None:
     """Search for a movie from d to the 2-component unlink.
 
-    Returns None when the budget runs out.  A returned script is not
-    replayed, so callers that need the movie run ``run_script`` on it.
+    ``max_nodes`` caps the distinct diagrams expanded, the final one
+    included.  Returns None when that budget is spent or the frontier is
+    empty.  A returned script is not replayed, so callers that need the
+    movie run ``run_script`` on it.
     """
     if d.lk0_violation:
         raise ScriptError(d.lk0_violation)
     start_pd = d.serialize()
     counter = itertools.count()
-    # (score, depth, counter, parent, move, parent's path); the root has no parent
+    # (score, depth, counter, parent, move, parent's path); the root has no
+    # parent, and depth breaks score ties toward shorter scripts
     heap: list = [(_score(d), 0, next(counter), None, None, ())]
     seen: set[str] = set()
     nodes = 0
-    while heap and nodes < budget.max_nodes:
-        if len(heap) > 4 * budget.beam_width:
-            heap = heapq.nsmallest(budget.beam_width, heap)
+    while heap and nodes < max_nodes:
+        if len(heap) > 4 * _BEAM:
+            heap = heapq.nsmallest(_BEAM, heap)
             heapq.heapify(heap)
         (score, depth, _, parent, move, path) = heapq.heappop(heap)
         if parent is None:
@@ -127,8 +121,6 @@ def auto_script(d: LinkDiagram, budget: SearchBudget = SearchBudget()) -> Homoto
         nodes += 1
         if not cur.crossings and cur.component_count == 2:
             return HomotopyScript(link=start_pd, moves=path)
-        if depth >= budget.max_depth:
-            continue
         for m in enumerate_moves(cur):
             entry = (_child_score(cur, score, m), depth + 1, next(counter), cur, m, path)
             heapq.heappush(heap, entry)

@@ -10,7 +10,7 @@ import random
 
 from sato4.conway import clear_memo, conway
 from sato4.diagram import Crossing, LinkDiagram
-from sato4.search import SearchBudget, auto_script
+from sato4.search import auto_script
 
 
 def _built_diagrams(built, lk0_closure) -> list[LinkDiagram]:
@@ -19,7 +19,7 @@ def _built_diagrams(built, lk0_closure) -> list[LinkDiagram]:
         clear_memo()
         conway(lk0_closure(rng))
     for _ in range(3):
-        assert auto_script(lk0_closure(rng), SearchBudget(max_nodes=300)) is not None
+        assert auto_script(lk0_closure(rng), max_nodes=300) is not None
     clear_memo()
     diagrams = list(built)
 

@@ -19,7 +19,7 @@ from sato4.conway import (
 from sato4.diagram import parse_pd
 from sato4.errors import DiagramError
 from sato4.movies import apply_move
-from sato4.search import SearchBudget, auto_script, enumerate_moves
+from sato4.search import auto_script, enumerate_moves
 from sato4.seifert import conway_from_seifert, seifert_matrix
 
 TREFOIL = "PD[X[1,4,2,5],X[3,6,4,1],X[5,2,6,3]]"
@@ -263,7 +263,7 @@ def test_smoothing_sum_matches_skein_on_built_diagrams(built, lk0_closure):
             d = apply_move(d, rng.choice(enumerate_moves(d, include_sc=False, include_adds=True)))
         clear_memo()
         conway(d)
-        auto_script(d, SearchBudget(max_nodes=300))
+        auto_script(d, max_nodes=300)
     clear_memo()
     diagrams = list(built)
     assert len(diagrams) > 500

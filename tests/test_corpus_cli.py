@@ -326,6 +326,7 @@ def test_cli_unreadable_file_is_usage_error(capsys, tmp_path):
         {"moves": []},
         [1, 2],
         "PD[X[1,2,3,4]]",
+        {"link": "PD[X[1,2,3,4]]", "moves": [{"kind": "r1_add", "arc": 1, "sgn": -1}]},  # misspelt field
     ],
 )
 def test_cli_phi_malformed_script_is_parse_error(capsys, tmp_path, payload):

@@ -10,7 +10,7 @@ from sato4.conway import clear_memo, conway
 from sato4.diagram import LinkDiagram, parse_pd
 from sato4.errors import DiagramError, PDSyntaxError
 from sato4.rewrites import add_kink
-from sato4.search import SearchBudget, apply_move, auto_script, enumerate_moves
+from sato4.search import apply_move, auto_script, enumerate_moves
 
 HOPF = "PD[X[4,1,3,2],X[2,3,1,4]]"
 KINK_POS = "PD[X[1,1,2,2]]"
@@ -276,7 +276,7 @@ def test_derived_diagrams_carry_parsed_signs(built, lk0_closure):
             d = apply_move(d, rng.choice(enumerate_moves(d, include_sc=False, include_adds=True)))
         clear_memo()
         conway(d)
-        auto_script(d, SearchBudget(max_nodes=300))
+        auto_script(d, max_nodes=300)
     clear_memo()
     diagrams = list(built)
     checked = skipped = 0

@@ -16,7 +16,7 @@ from sato4.cli import main
 from sato4.conway import conway
 from sato4.diagram import parse_pd
 from sato4.errors import Sato4Error
-from sato4.movies import HomotopyScript, phi, run_script
+from sato4.movies import _FIELDS, HomotopyScript, phi, run_script
 from sato4.seifert import conway_from_seifert, seifert_matrix
 
 
@@ -81,10 +81,11 @@ def _rarely(draw) -> bool:
 def move_objects(draw):
     kinds = ["r1_add", "r1_remove", "r2_add", "r2_remove", "r3", "sc"]
     kind = draw(st.sampled_from(["r4", 7]) if _rarely(draw) else st.sampled_from(kinds))
+    own = [name for name, _, _ in _FIELDS.get(kind, ())]
     obj = {"kind": kind}
     for name, values in _FIELD.items():
-        # a kind reads its own fields and ignores the rest
-        if not _rarely(draw):
+        # a kind's own field is rarely left out, another kind's field rarely put in
+        if (name in own) != _rarely(draw):
             obj[name] = draw(_JUNK if _rarely(draw) else values)
     return obj
 

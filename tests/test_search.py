@@ -1,5 +1,6 @@
 """Best-effort unlinking search."""
 
+import heapq
 import json
 import random
 
@@ -9,8 +10,9 @@ import sato4.search
 from sato4.braids import braid_closure
 from sato4.diagram import parse_pd
 from sato4.errors import ScriptError
-from sato4.movies import apply_move, run_script
-from sato4.search import SearchBudget, _child_score, _score, auto_script, enumerate_moves
+from sato4.conway import conway_coefficient
+from sato4.movies import apply_move, beta_engine, run_script
+from sato4.search import _child_score, _score, auto_script, enumerate_moves
 
 WHITEHEAD_SCRIPT = {
     "link": "PD[X[2,4,5,1], X[4,3,6,7], X[7,8,9,5], X[8,6,3,11], X[11,2,1,9]]",
@@ -62,7 +64,7 @@ def test_split_kinked_unknot_needs_no_crossing_change():
 
 def test_whitehead_script_contains_a_change():
     d = braid_closure([1, -2, 1, -2, 1], 3)
-    script = auto_script(d, SearchBudget(max_nodes=5000, max_depth=30, beam_width=256))
+    script = auto_script(d, max_nodes=5000)
     assert script is not None
     assert any(m.kind == "sc" for m in script.moves)
     res = run_script(script)
@@ -71,7 +73,7 @@ def test_whitehead_script_contains_a_change():
 
 def test_budget_exhaustion_returns_none():
     d = braid_closure([1, -2, 1, -2, 1], 3)
-    assert auto_script(d, SearchBudget(max_nodes=2, max_depth=1, beam_width=2)) is None
+    assert auto_script(d, max_nodes=2) is None
 
 
 def test_rejects_wrong_component_count():
@@ -116,7 +118,7 @@ def test_enumerate_lists_exactly_the_removable_bigons():
 def test_child_score_is_the_score_of_the_built_child(built, lk0_closure):
     rng = random.Random(6110)
     for _ in range(6):
-        auto_script(_scrambled(lk0_closure, rng, 4), SearchBudget(max_nodes=300))
+        auto_script(_scrambled(lk0_closure, rng, 4), max_nodes=300)
     diagrams = list(built) + [_scrambled(lk0_closure, rng, 6) for _ in range(10)]
     kinds, self_bigon = set(), set()
     for d in diagrams:
@@ -150,5 +152,32 @@ def test_max_nodes_counts_distinct_diagrams_expanded(monkeypatch):
     script = auto_script(d)
     assert json.dumps(script.to_json()) == json.dumps(WHITEHEAD_SCRIPT)
     expanded = counts["enumerate_moves"]
-    assert auto_script(d, SearchBudget(max_nodes=expanded + 1)) == script
-    assert auto_script(d, SearchBudget(max_nodes=expanded)) is None
+    assert auto_script(d, max_nodes=expanded + 1) == script
+    assert auto_script(d, max_nodes=expanded) is None
+
+
+# a 6-strand closure of 60 crossings whose movie is longer than 60 moves
+DEEP_WORD = [
+    4, -3, 3, 2, -4, 5, -3, 2, 5, -4, 1, 4, 3, -3, 3, 4, -3, 1, 5, 1,
+    -3, -3, -5, -2, -5, -2, 4, 5, -5, -3, -2, -2, -1, -1, -5, -2, 3, -3, -2, 1,
+    4, 4, 2, 2, -3, 3, 2, -4, 3, -4, -3, 5, 1, -3, -4, -4, -4, -4, -3, 2,
+]
+
+
+def test_long_movie_is_found_under_the_beam(monkeypatch, shipped_calibration):
+    d = braid_closure(DEEP_WORD, 6)
+    trims = 0
+    nsmallest = heapq.nsmallest
+
+    def counted(*args, **kwargs):
+        nonlocal trims
+        trims += 1
+        return nsmallest(*args, **kwargs)
+
+    monkeypatch.setattr(sato4.search.heapq, "nsmallest", counted)
+    script = auto_script(d)
+    assert script is not None and len(script.moves) > 60
+    assert trims >= 1  # the frontier was cut to the beam
+    movie = run_script(script, d)
+    assert not movie.final.crossings and movie.final.component_count == 2
+    assert beta_engine(movie, shipped_calibration.e_cal) == conway_coefficient(d, 3) == 4
