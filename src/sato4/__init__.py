@@ -7,6 +7,7 @@ Submodules:
 - ``conway``: Conway polynomial by skein recursion; integer beta oracle.
 - ``seifert``: Seifert matrices on the diagram's own Seifert surface;
   determinant route to the Conway polynomial.
+- ``rewrites``: Reidemeister moves as PD-level surgery.
 - ``movies``: validated move scripts ending at the 2-component unlink,
   self-intersection records, phi and the integer engine invariant.
 - ``search``: best-effort search for unlinking scripts.

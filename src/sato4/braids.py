@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .diagram import Crossing, LinkDiagram, find, union
+from .diagram import Crossing, LinkDiagram, find, make_crossing, union
 from .errors import DiagramError
 
 __all__ = ["braid_closure"]
@@ -25,19 +25,14 @@ def braid_closure(word: Sequence[int], strands: int) -> LinkDiagram:
     initial = list(range(1, strands + 1))
     current = list(initial)
     nxt = strands + 1
-    quads = []
-    for letter in word:
+    crossings = []
+    for cid, letter in enumerate(word, 1):
         k = abs(letter) - 1
-        a_in, b_in = current[k], current[k + 1]
-        a_out, b_out = nxt, nxt + 1
+        a, b = (current[k], nxt), (current[k + 1], nxt + 1)  # strands k, k + 1 as (in, out)
         nxt += 2
-        if letter > 0:
-            # strand k over: X[b_in, a_out, b_out, a_in]
-            quads.append((b_in, a_out, b_out, a_in))
-        else:
-            # strand k under: X[a_in, b_in, a_out, b_out]
-            quads.append((a_in, b_in, a_out, b_out))
-        current[k], current[k + 1] = b_out, a_out
+        # letter > 0 puts strand k over
+        crossings.append(make_crossing(cid, b, a, 1) if letter > 0 else make_crossing(cid, a, b, -1))
+        current[k], current[k + 1] = b[1], a[1]
 
     # Close up: identify the final arc at each position with the initial one.
     parent: dict[int, int] = {}
@@ -45,7 +40,6 @@ def braid_closure(word: Sequence[int], strands: int) -> LinkDiagram:
     for fin, ini in zip(current, initial):
         if not union(parent, fin, ini):
             markers.append(find(parent, fin))  # untouched strand closes into a free circle
-    quads = [tuple(find(parent, a) for a in q) for q in quads]
-    markers = [m for m in markers if not any(m in q for q in quads)]
-    crossings = [Crossing(i, q) for i, q in enumerate(quads, 1)]
+    crossings = [Crossing(c.id, tuple(find(parent, a) for a in c.arcs)) for c in crossings]
+    markers = [m for m in markers if not any(m in c.arcs for c in crossings)]
     return LinkDiagram(crossings, markers)

@@ -14,8 +14,9 @@ crossing.
 
 Orientation is one sign per crossing: slot 0 is incoming and slot 2
 outgoing by convention, so the sign says which of slots 1 and 3 is the
-incoming over arc.  Derived diagrams are built from the signs of the
-crossings they keep.
+incoming over arc.  ``make_crossing`` writes this slot template and
+``LinkDiagram.strands`` reads it back.  Derived diagrams are built from
+the signs of the crossings they keep.
 
 Diagrams are immutable values; every operation returns a new diagram.
 """
@@ -33,6 +34,7 @@ from .errors import DiagramError, PDSyntaxError
 __all__ = [
     "Crossing",
     "LinkDiagram",
+    "make_crossing",
     "parse_pd",
 ]
 
@@ -43,6 +45,12 @@ class Crossing:
 
     id: int
     arcs: tuple[int, int, int, int]
+
+
+def make_crossing(cid: int, under: tuple[int, int], over: tuple[int, int], sign: int) -> Crossing:
+    """The crossing of sign ``sign`` whose strands run (in, out) along ``under`` and ``over``."""
+    (ui, uo), (oi, oo) = under, over
+    return Crossing(cid, (ui, oo, uo, oi) if sign > 0 else (ui, oi, uo, oo))
 
 
 _X_TOKEN = re.compile(r"X\s*\[\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\]")
@@ -344,35 +352,32 @@ class LinkDiagram:
 
     # -- local operations ----------------------------------------------------
 
-    @staticmethod
-    def _switched(arcs: tuple[int, int, int, int], sign: int) -> tuple[int, int, int, int]:
-        """Slot tuple after an over/under exchange: the over strand moves to slots 0 and 2."""
-        a, b, c, d = arcs
-        return (d, a, b, c) if sign > 0 else (b, c, d, a)
+    def strands(self, cid: int) -> tuple[tuple[int, int], tuple[int, int]]:
+        """The (in, out) arcs of the under and the over strand: make_crossing read back."""
+        ui, b, uo, d = self.crossing(cid).arcs
+        return ((ui, uo), (d, b)) if self._sign[cid] > 0 else ((ui, uo), (b, d))
 
     def switch(self, cid: int) -> "LinkDiagram":
         """Exchange over and under strands at one crossing.
 
-        The slot tuple rotates so the new incoming under-strand sits at
-        slot 0; arcs, orientations and all other crossings are untouched,
-        and the sign of the crossing is negated.
+        Arcs, orientations and all other crossings are untouched, and the
+        sign of the crossing is negated.
         """
-        c = self.crossing(cid)
-        new = Crossing(cid, self._switched(c.arcs, self._sign[cid]))
+        under, over = self.strands(cid)
+        new = make_crossing(cid, over, under, -self._sign[cid])
         replaced = [new if x.id == cid else x for x in self.crossings]
         return LinkDiagram(replaced, self.markers, {**self._sign, cid: -self._sign[cid]})
 
     def mirror(self) -> "LinkDiagram":
         """Switch every crossing (the mirror-image diagram)."""
-        out = [Crossing(c.id, self._switched(c.arcs, self._sign[c.id])) for c in self.crossings]
-        return LinkDiagram(out, self.markers, {cid: -s for cid, s in self._sign.items()})
+        signs = {cid: -s for cid, s in self._sign.items()}
+        out = [make_crossing(c.id, *reversed(self.strands(c.id)), signs[c.id]) for c in self.crossings]
+        return LinkDiagram(out, self.markers, signs)
 
     def smoothing_pairs(self, cid: int) -> list[tuple[int, int]]:
         """The oriented resolution at a crossing as (incoming, outgoing) arc gluings."""
-        a, b, cc, d = self.crossing(cid).arcs
-        if self.sign(cid) > 0:
-            return [(a, b), (d, cc)]
-        return [(a, d), (b, cc)]
+        (ui, uo), (oi, oo) = self.strands(cid)
+        return [(ui, oo), (oi, uo)]
 
     def smooth(self, cid: int) -> "LinkDiagram":
         """Oriented smoothing at a crossing; component count changes by one."""

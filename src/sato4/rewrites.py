@@ -5,18 +5,15 @@ for R1 removal, non-clasp bigon for R2 removal, over/over-under/under
 triangle for R3), so every accepted rewrite is a genuine planar move on
 honestly planar codes.
 
-Compass bookkeeping: crossings are assembled from local strand
-directions with the helper below, so all slot templates derive from the
-single global sign convention in :mod:`sato4.diagram`.
+Crossings are built by :func:`sato4.diagram.make_crossing`.
 """
 
 from __future__ import annotations
 
-from .diagram import Crossing, LinkDiagram
+from .diagram import LinkDiagram, make_crossing
 from .errors import MoveError
 
 __all__ = [
-    "make_crossing",
     "add_kink",
     "remove_kink",
     "add_r2",
@@ -26,31 +23,6 @@ __all__ = [
     "find_triangles",
     "kink_loop",
 ]
-
-# compass points as quarter turns: 0=E, 1=N, 2=W, 3=S; +1 is a CCW turn
-_OPP = 2
-
-
-def make_crossing(
-    cid: int,
-    under_in_pos: int,
-    under: tuple[int, int],
-    over_in_pos: int,
-    over: tuple[int, int],
-) -> tuple[Crossing, int]:
-    """Assemble a crossing from local geometry.
-
-    ``under``/``over`` are (incoming arc, outgoing arc); the positions say
-    from which compass direction each strand enters.  Returns the crossing
-    and its sign, +1 iff the over strand enters at slot 3.
-    """
-    if (over_in_pos - under_in_pos) % 2 != 1:
-        raise ValueError("strands must enter along perpendicular axes")
-    arcs = [under[0], 0, under[1], 0]
-    oi = (over_in_pos - under_in_pos) % 4
-    arcs[oi], arcs[(oi + _OPP) % 4] = over
-    return Crossing(cid, tuple(arcs)), 1 if oi == 3 else -1
-
 
 # -- R1 ---------------------------------------------------------------------
 
@@ -86,18 +58,13 @@ def add_kink(d: LinkDiagram, arc: int, sign: int, over_first: bool = True) -> Li
     else:
         raise MoveError(f"no arc or marker {arc}")
     first, loop_arc, last = pieces
-    # under strand heads north; a positive crossing has the over strand
-    # entering from the west
-    over_in_pos = 2 if sign > 0 else 0
-    if over_first:
-        crossing, eps = make_crossing(cid, 3, (loop_arc, last), over_in_pos, (first, loop_arc))
-    else:
-        crossing, eps = make_crossing(cid, 3, (first, loop_arc), over_in_pos, (loop_arc, last))
+    strands = ((loop_arc, last), (first, loop_arc))  # (under, over)
+    under, over = strands if over_first else strands[::-1]
     return d.rebuild(
         replace=head_fix,
         drop_markers=drop,
-        new_crossings=[crossing],
-        new_signs={cid: eps},
+        new_crossings=[make_crossing(cid, under, over, sign)],
+        new_signs={cid: sign},
     )
 
 
@@ -106,13 +73,8 @@ def remove_kink(d: LinkDiagram, cid: int) -> LinkDiagram:
     loop = kink_loop(d, cid)
     if loop is None:
         raise MoveError(f"crossing {cid} is not a kink")
-    c = d.crossing(cid)
-    slots = [s for s in range(4) if c.arcs[s] != loop]
-    arcs = [c.arcs[s] for s in slots]
-    if d.is_incoming(cid, slots[1]):
-        arcs.reverse()
-    incoming, outgoing = arcs
-    return d.rebuild(remove=(cid,), glue=[(incoming, outgoing)])
+    (ui, uo), (oi, oo) = d.strands(cid)
+    return d.rebuild(remove=(cid,), glue=[(oi if ui == loop else ui, uo if oo == loop else oo)])
 
 
 # -- R2 ---------------------------------------------------------------------
@@ -137,31 +99,18 @@ def add_r2(d: LinkDiagram, x: int, y: int, x_over: bool) -> LinkDiagram:
     x2, y2, m1, m2 = d.fresh_arc_ids(4)
     cw = d.fresh_crossing_id()
     ce = cw + 1
-    x_west, x_east = (x, x2) if dx else (x2, x)
-    y_east, y_west = (y, y2) if dy else (y2, y)
-    # x strand: west piece, m1 above y, east piece; bulge ascends at cw
-    if dx:
-        x_at_cw = (3, (x_west, m1))   # enters from the south
-        x_at_ce = (1, (m1, x_east))   # comes back down from the north
-    else:
-        x_at_cw = (1, (m1, x_west))
-        x_at_ce = (3, (x_east, m1))
-    if dy:
-        y_at_ce = (0, (y_east, m2))   # enters from the east
-        y_at_cw = (0, (m2, y_west))
-    else:
-        y_at_ce = (2, (m2, y_east))
-        y_at_cw = (2, (y_west, m2))
+    # x runs x -> m1 -> x2 eastward when dx; y runs y -> m2 -> y2 westward when dy
+    x_cw, x_ce = ((x, m1), (m1, x2)) if dx else ((m1, x2), (x, m1))
+    y_ce, y_cw = ((y, m2), (m2, y2)) if dy else ((m2, y2), (y, m2))
+    sign = (1 if dx == dy else -1) * (1 if x_over else -1)  # at cw; ce has the opposite
     if x_over:
-        c1, s1 = make_crossing(cw, y_at_cw[0], y_at_cw[1], x_at_cw[0], x_at_cw[1])
-        c2, s2 = make_crossing(ce, y_at_ce[0], y_at_ce[1], x_at_ce[0], x_at_ce[1])
+        c1, c2 = make_crossing(cw, y_cw, x_cw, sign), make_crossing(ce, y_ce, x_ce, -sign)
     else:
-        c1, s1 = make_crossing(cw, x_at_cw[0], x_at_cw[1], y_at_cw[0], y_at_cw[1])
-        c2, s2 = make_crossing(ce, x_at_ce[0], x_at_ce[1], y_at_ce[0], y_at_ce[1])
+        c1, c2 = make_crossing(cw, x_cw, y_cw, sign), make_crossing(ce, x_ce, y_ce, -sign)
     return d.rebuild(
         replace={d.head(x): x2, d.head(y): y2},
         new_crossings=[c1, c2],
-        new_signs={cw: s1, ce: s2},
+        new_signs={cw: sign, ce: -sign},
     )
 
 

@@ -101,7 +101,8 @@ def seifert_matrix(d: LinkDiagram) -> SeifertMatrix:
     pos = [{x: k for k, x in enumerate(feet)} for feet in order]
     ends = {}  # band -> (flat end, fold end)
     for c in d.crossings:
-        under, over = circle_of[c.arcs[0]], circle_of[c.arcs[3 if d.sign(c.id) > 0 else 1]]
+        (ui, _), (oi, _) = d.strands(c.id)
+        under, over = circle_of[ui], circle_of[oi]
         ends[c.id] = (over, under) if d.sign(c.id) > 0 else (under, over)
     cycles = _cycle_basis(order, ends)
     # weights[x]: (cycle b, w_b(x)) for every b with w_b(x) possibly nonzero

@@ -7,9 +7,9 @@ import pytest
 from sato4.braids import braid_closure
 from sato4.cli import main
 from sato4.conway import clear_memo, conway
-from sato4.diagram import LinkDiagram, parse_pd
+from sato4.diagram import LinkDiagram, make_crossing, parse_pd
 from sato4.errors import DiagramError, PDSyntaxError
-from sato4.rewrites import add_kink
+from sato4.rewrites import add_kink, add_r2
 from sato4.search import apply_move, auto_script, enumerate_moves
 
 HOPF = "PD[X[4,1,3,2],X[2,3,1,4]]"
@@ -328,3 +328,77 @@ def test_braid_closure_arc_numbering_is_pinned(word, strands, pd):
     # each closed-up arc is named by the least id among the arcs it joins;
     # an untouched strand becomes a U[..] marker
     assert braid_closure(word, strands).serialize() == pd
+
+
+# -- the crossing template: make_crossing writes it, strands reads it ----------
+
+
+@pytest.mark.parametrize("sign, arcs", [(1, (1, 4, 2, 3)), (-1, (1, 3, 2, 4))])
+def test_strands_inverts_make_crossing(sign, arcs):
+    # under strand 1 -> 2, over strand 3 -> 4
+    c = make_crossing(7, (1, 2), (3, 4), sign)
+    assert (c.id, c.arcs) == (7, arcs)
+    d = LinkDiagram([c, make_crossing(8, (4, 3), (2, 1), sign)], (), {7: sign, 8: sign})
+    assert d.strands(7) == ((1, 2), (3, 4))
+    assert d.strands(8) == ((4, 3), (2, 1))
+
+
+def test_strands_agree_with_orientation(corpus):
+    rng = random.Random(1709)
+    diagrams = [entry.diagram for entry in corpus]
+    for _ in range(40):
+        strands = rng.randint(2, 5)
+        word = [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(rng.randint(1, 11))]
+        diagrams.append(braid_closure(word, strands))
+    checked = 0
+    for d in diagrams:
+        for c in d.crossings:
+            (ui, uo), (oi, oo) = d.strands(c.id)
+            in_slot = 3 if d.sign(c.id) > 0 else 1
+            assert d.head(ui) == (c.id, 0) and d.tail(uo) == (c.id, 2)
+            assert d.head(oi) == (c.id, in_slot) and d.tail(oo) == (c.id, 4 - in_slot)
+            checked += 1
+    assert checked > 200
+
+
+@pytest.mark.parametrize(
+    "sign, over_first, arcs",
+    [
+        (1, True, (5, 5, 6, 1)),
+        (1, False, (1, 6, 5, 5)),
+        (-1, True, (5, 1, 6, 5)),
+        (-1, False, (1, 5, 5, 6)),
+    ],
+)
+def test_add_kink_slots_are_pinned(sign, over_first, arcs):
+    d = add_kink(parse_pd(HOPF), 1, sign, over_first)
+    assert d.crossings[-1].arcs == arcs
+    assert d.sign(3) == sign
+
+
+@pytest.mark.parametrize(
+    "x, y, x_over, pd, signs",
+    # (1, 3), (1, 4), (4, 1) and (2, 4) first share a face with the directions
+    # (backward, backward), (forward, backward), (backward, forward), (forward, forward)
+    [
+        (1, 3, True, "PD[X[4,5,3,2], X[2,6,1,4], X[3,5,8,7], X[8,1,6,7]]", [1, -1]),
+        (1, 3, False, "PD[X[4,5,3,2], X[2,6,1,4], X[7,3,5,8], X[1,6,7,8]]", [-1, 1]),
+        (1, 4, True, "PD[X[6,5,3,2], X[2,3,1,4], X[4,1,8,7], X[8,5,6,7]]", [-1, 1]),
+        (1, 4, False, "PD[X[6,5,3,2], X[2,3,1,4], X[1,8,7,4], X[7,8,5,6]]", [1, -1]),
+        (4, 1, True, "PD[X[5,6,3,2], X[2,3,1,4], X[8,7,6,5], X[1,7,8,4]]", [-1, 1]),
+        (4, 1, False, "PD[X[5,6,3,2], X[2,3,1,4], X[7,6,5,8], X[4,1,7,8]]", [1, -1]),
+        (2, 4, True, "PD[X[6,1,3,2], X[5,3,1,4], X[8,7,6,2], X[4,7,8,5]]", [1, -1]),
+        (2, 4, False, "PD[X[6,1,3,2], X[5,3,1,4], X[2,8,7,6], X[7,8,5,4]]", [-1, 1]),
+    ],
+)
+def test_add_r2_slots_are_pinned(x, y, x_over, pd, signs):
+    d = add_r2(parse_pd(HOPF), x, y, x_over)
+    assert d.serialize() == pd
+    assert [d.sign(cid) for cid in (3, 4)] == signs
+
+
+@pytest.mark.parametrize("letter, pd", [(1, "PD[X[2,2,1,1]]"), (-1, "PD[X[1,2,2,1]]")])
+def test_braid_letter_slots_are_pinned(letter, pd):
+    d = braid_closure([letter], 2)
+    assert d.serialize() == pd
+    assert d.sign(1) == letter
