@@ -37,9 +37,7 @@ __all__ = ["ConwayPoly", "conway", "conway_coefficient", "sato_levine_oracle", "
 
 
 # Integer polynomials as coefficient tuples: index = power, trailing zeros
-# trimmed.  ConwayPoly wraps one; Bareiss elimination in the seifert module
-# keeps a bare tuple per matrix entry, where a wrapper object per entry
-# would cost time.
+# trimmed.  ConwayPoly wraps one and does its arithmetic through these.
 
 
 def poly_trim(p) -> tuple[int, ...]:
@@ -55,17 +53,6 @@ def poly_add(p, q) -> tuple[int, ...]:
 
 def poly_sub(p, q) -> tuple[int, ...]:
     return poly_trim([a - b for a, b in zip_longest(p, q, fillvalue=0)])
-
-
-def poly_mul(p, q) -> tuple[int, ...]:
-    if not p or not q:
-        return ()
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return poly_trim(out)
 
 
 @dataclass(frozen=True)

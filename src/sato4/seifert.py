@@ -8,17 +8,20 @@ Knot Theory", ch. 6).  The surface has rank c - s + 1 for c crossings
 and s circles, so the matrix never outgrows the diagram.
 
 The Conway polynomial is then det(x V - x^{-1} V^T) rewritten in
-z = x - x^{-1}, computed exactly over the integers (Bareiss elimination
-on polynomials in u = x^2).
+z = x - x^{-1}.  With u = x^2 it is P(u) / x^n for the integer
+polynomial P(u) = det(u V - V^T).  P is found exactly from one integer
+determinant (fraction-free Bareiss elimination) at u = 2^B, with B
+chosen from Hadamard's bound on P over the unit circle so that the
+coefficients are the value's balanced base-2^B digits.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from math import comb
+from math import comb, isqrt, prod
 
-from .conway import ConwayPoly, poly_mul, poly_sub, poly_trim
+from .conway import ConwayPoly
 from .diagram import LinkDiagram, orbits
 from .errors import SeifertError
 
@@ -182,68 +185,56 @@ def _cycle_basis(
 # -- exact determinant route -------------------------------------------------------
 
 
-def _p_div_exact(p, q):
-    """Exact division in Z[u]; raises if the quotient is not integral."""
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    if not p:
-        return ()
-    rem = list(p)
-    out = [0] * (len(p) - len(q) + 1)
-    for k in range(len(p) - len(q), -1, -1):
-        c = rem[k + len(q) - 1]
-        if c % q[-1]:
-            raise SeifertError("non-exact polynomial division")
-        f = c // q[-1]
-        out[k] = f
-        if f:
-            for j, b in enumerate(q):
-                rem[k + j] -= f * b
-    if any(rem):
-        raise SeifertError("non-exact polynomial division")
-    return poly_trim(out)
-
-
-def _det_poly(M: list[list[tuple[int, ...]]]) -> tuple[int, ...]:
-    """Fraction-free Bareiss determinant over Z[u]."""
+def _det_int(M: list[list[int]]) -> int:
+    """Fraction-free Bareiss determinant of a square integer matrix."""
     n = len(M)
     if n == 0:
-        return (1,)
+        return 1
     M = [row[:] for row in M]
-    sign = 1
-    prev: tuple[int, ...] = (1,)
+    sign, prev = 1, 1
     for k in range(n - 1):
         if not M[k][k]:
-            for r in range(k + 1, n):
-                if M[r][k]:
-                    M[k], M[r] = M[r], M[k]
-                    sign = -sign
-                    break
-            else:
-                return ()
-        for i in range(k + 1, n):
+            r = next((r for r in range(k + 1, n) if M[r][k]), None)
+            if r is None:
+                return 0
+            M[k], M[r] = M[r], M[k]
+            sign = -sign
+        pivot, row_k = M[k][k], M[k]
+        for row in M[k + 1:]:
+            a = row[k]
             for j in range(k + 1, n):
-                num = poly_sub(poly_mul(M[i][j], M[k][k]), poly_mul(M[i][k], M[k][j]))
-                M[i][j] = _p_div_exact(num, prev)
-            M[i][k] = ()
-        prev = M[k][k]
-    det = M[n - 1][n - 1]
-    return det if sign > 0 else poly_sub((), det)
+                row[j], rem = divmod(row[j] * pivot - a * row_k[j], prev)
+                if rem:
+                    raise SeifertError("non-exact division")
+        prev = pivot
+    return sign * M[n - 1][n - 1]
 
 
 def conway_from_seifert(V: SeifertMatrix) -> ConwayPoly:
-    """det(x V - x^{-1} V^T) rewritten as a polynomial in z = x - x^{-1}."""
-    n = V.size
-    if n == 0:
-        return ConwayPoly.one()
-    # multiply every entry by x: entries become polynomials in u = x^2,
-    # and det(xV - x^{-1}V^T) = P(x^2) / x^n
-    M = [[poly_trim((-V.rows[j][i], V.rows[i][j])) for j in range(n)] for i in range(n)]
-    P = _det_poly(M)
+    """det(x V - x^{-1} V^T) rewritten as a polynomial in z = x - x^{-1}.
+
+    With u = x^2 the determinant is P(u) / x^n, P(u) = det(u V - V^T) of
+    degree at most n.  P is evaluated once, at u = N = 2^B, and its
+    coefficients are read back as balanced base-N digits.  On |u| = 1
+    every entry has |u V_ij - V_ji| <= |V_ij| + |V_ji|, so by Hadamard's
+    inequality |P(u)| <= H = prod_i sqrt(sum_j (|V_ij| + |V_ji|)^2), and
+    each coefficient, a mean of P over the unit circle, is at most H.
+    N > 2H makes the digits unique, so the result is exact.
+    """
+    n, rows = V.size, V.rows
+    H = isqrt(prod(sum((abs(rows[i][j]) + abs(rows[j][i])) ** 2 for j in range(n)) for i in range(n))) + 1
+    B = (2 * H).bit_length()
+    N = 1 << B
+    D = _det_int([[rows[i][j] * N - rows[j][i] for j in range(n)] for i in range(n)])
     laurent: dict[int, int] = {}
-    for e, c in enumerate(P):
-        if c:
-            laurent[2 * e - n] = c
+    for e in range(n + 1):
+        c = D & (N - 1)
+        if c >= N >> 1:
+            c -= N
+        laurent[2 * e - n] = c
+        D = (D - c) >> B
+    if D:
+        raise SeifertError("determinant has degree above the matrix size")
     return laurent_to_z(laurent)
 
 

@@ -3,8 +3,11 @@
 import random
 import time
 from collections import Counter
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sato4.braids import braid_closure
 from sato4.conway import ConwayPoly, conway, conway_coefficient
@@ -15,6 +18,7 @@ from sato4.search import apply_move, enumerate_moves
 from sato4.seifert import (
     SeifertMatrix,
     conway_from_seifert,
+    laurent_to_z,
     seifert_circles,
     seifert_matrix,
 )
@@ -65,8 +69,6 @@ def test_substitution_is_total_on_integer_matrices():
 
 
 def test_non_symmetric_laurent_rejected():
-    from sato4.seifert import laurent_to_z
-
     with pytest.raises(SeifertError):
         laurent_to_z({-1: 1})
     with pytest.raises(SeifertError):
@@ -259,3 +261,73 @@ def _int_det(rows):
 def test_matrix_must_be_square():
     with pytest.raises(SeifertError):
         SeifertMatrix(((1, 2),))
+
+
+def _reference_conway(rows) -> ConwayPoly:
+    """det(uV - V^T) at u = 0..n by Fractions, interpolated exactly, then rewritten in z."""
+    from fractions import Fraction
+
+    n = len(rows)
+    points = range(n + 1)
+    values = [_int_det([[u * rows[i][j] - rows[j][i] for j in range(n)] for i in range(n)]) for u in points]
+    coeffs = [Fraction(0)] * (n + 1)
+    for k in points:
+        basis = [Fraction(1)]  # prod over m != k of (u - m) / (k - m), lowest power first
+        for m in points:
+            if m != k:
+                basis = [(a - m * b) / (k - m) for a, b in zip([Fraction(0)] + basis, basis + [Fraction(0)])]
+        for e, b in enumerate(basis):
+            coeffs[e] += values[k] * b
+    assert all(c.denominator == 1 for c in coeffs)
+    return laurent_to_z({2 * e - n: int(c) for e, c in enumerate(coeffs)})
+
+
+@st.composite
+def square_integer_matrices(draw):
+    n = draw(st.integers(0, 7))
+    rows = [[draw(st.integers(-50, 50)) for _ in range(n)] for _ in range(n)]
+    if n:
+        for _ in range(draw(st.integers(0, 3))):
+            rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(st.integers(-10**6, 10**6))
+        if draw(st.booleans()):
+            rows[draw(st.integers(0, n - 1))] = [0] * n
+        if n > 1 and draw(st.booleans()):
+            i, j = draw(st.permutations(range(n)))[:2]
+            rows[j] = [draw(st.integers(-3, 3)) * x for x in rows[i]]  # singular
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_integer_matrices())
+def test_determinant_route_matches_interpolation(rows):
+    V = SeifertMatrix(tuple(map(tuple, rows)))
+    assert conway_from_seifert(V) == _reference_conway(rows)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 13])
+@pytest.mark.parametrize("a", [1, -1, 3, -1000])
+def test_scalar_matrix_needs_the_central_binomial(n, a):
+    # P(u) = det(u aI - aI) = a^n (u - 1)^n, whose middle coefficient
+    # a^n C(n, n // 2) is the largest; the digits must hold it exactly
+    V = SeifertMatrix(tuple(tuple(a * (i == j) for j in range(n)) for i in range(n)))
+    P = {2 * e - n: a**n * comb(n, e) * (-1) ** (n - e) for e in range(n + 1)}
+    assert conway_from_seifert(V) == laurent_to_z(P)
+
+
+def test_digits_beyond_the_matrix_size_are_rejected(monkeypatch):
+    monkeypatch.setattr("sato4.seifert._det_int", lambda M: 10**400)
+    with pytest.raises(SeifertError, match="degree above"):
+        conway_from_seifert(SeifertMatrix(((1,),)))
+
+
+def test_seifert_route_on_a_104_crossing_closure():
+    rng = random.Random(1122)
+    while True:
+        word = [rng.choice((1, -1)) * rng.randint(1, 3) for _ in range(104)]
+        d = braid_closure(word, 4)
+        if d.connected() and d.component_count == 2 and d.linking_number(1, 2) == 0:
+            break
+    V = seifert_matrix(d)
+    assert V.size == 101
+    P = conway_from_seifert(V)
+    assert [P.coefficient(k) for k in range(4)] == [conway_coefficient(d, k) for k in range(4)] == [0, 0, 0, 18]
