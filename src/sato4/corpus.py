@@ -31,7 +31,7 @@ from pathlib import Path
 
 from .bundle import verify_gluing
 from .conway import conway, sato_levine_oracle
-from .diagram import LinkDiagram, parse_pd
+from .diagram import LinkDiagram, parse_pd, tokenize_pd
 from .errors import CalibrationError, CorpusError, GluingError, ScriptError
 from .movies import HomotopyScript, MovieResult, beta_engine, phi, run_script
 from .seifert import conway_from_seifert, seifert_matrix
@@ -127,7 +127,8 @@ def load_entry(path: Path) -> CorpusEntry:
     if script_dir.is_dir():
         for f in sorted(script_dir.glob("*.json")):
             script = HomotopyScript.from_json(json.loads(f.read_text()), name=f.stem)
-            if script.initial_diagram() != diagram:
+            quads, markers = tokenize_pd(script.link)
+            if quads != [c.arcs for c in diagram.crossings] or sorted(markers) != list(diagram.markers):
                 raise CorpusError(f"{path.name}/{f.name}: the script does not start from link.pd")
             scripts.append(script)
     return CorpusEntry(

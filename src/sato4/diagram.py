@@ -16,7 +16,10 @@ Orientation is one sign per crossing: slot 0 is incoming and slot 2
 outgoing by convention, so the sign says which of slots 1 and 3 is the
 incoming over arc.  ``make_crossing`` writes this slot template and
 ``LinkDiagram.strands`` reads it back.  Derived diagrams are built from
-the signs of the crossings they keep.
+the signs of the crossings they keep.  Construction reads the template
+in one pass over the crossings, writing each arc's head, tail and
+successor; a table of each arc's two ends is built only to sign parsed
+codes and to name the arc in an error message.
 
 Diagrams are immutable values; every operation returns a new diagram.
 """
@@ -27,7 +30,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Iterable
 
 from .errors import DiagramError, PDSyntaxError
 
@@ -36,6 +39,7 @@ __all__ = [
     "LinkDiagram",
     "make_crossing",
     "parse_pd",
+    "tokenize_pd",
 ]
 
 
@@ -61,31 +65,32 @@ def _strip_comments(text: str) -> str:
     return "\n".join(line.split("#", 1)[0] for line in text.splitlines())
 
 
-def parse_pd(text: str) -> "LinkDiagram":
-    """Parse PD text into a validated diagram.
+def tokenize_pd(text: str) -> tuple[list[tuple[int, int, int, int]], list[int]]:
+    """The crossing quads and the unknot markers of PD text, as written.
 
     Accepts the bracketed form ``PD[X[a,b,c,d], ..., U[n]]`` (the ``PD[``
     wrapper and commas are optional, markers may also trail outside the
     brackets) and the line form with one ``X a b c d`` or ``U n`` per
-    line.  ``#`` starts a comment in either form.
+    line.  ``#`` starts a comment in either form.  Two texts parse to
+    equal diagrams exactly when their quads and sorted markers are equal.
     """
     body = _strip_comments(text)
     if "[" in body:
-        return _parse_bracketed(body)
-    return _parse_lines(body)
+        return _tokens_bracketed(body)
+    return _tokens_lines(body)
 
 
-def _parse_bracketed(body: str) -> "LinkDiagram":
+def _tokens_bracketed(body: str) -> tuple[list[tuple[int, int, int, int]], list[int]]:
     leftover = _U_TOKEN.sub("", _X_TOKEN.sub("", body))
     leftover = re.sub(r"PD\s*\[", "", leftover)
     if leftover.strip(" \t\n,[]"):
         raise PDSyntaxError(f"unrecognized PD syntax near {leftover.strip()[:30]!r}")
     crossings = [tuple(int(g) for g in m.groups()) for m in _X_TOKEN.finditer(body)]
     markers = [int(m.group(1)) for m in _U_TOKEN.finditer(body)]
-    return _build(crossings, markers)
+    return crossings, markers
 
 
-def _parse_lines(body: str) -> "LinkDiagram":
+def _tokens_lines(body: str) -> tuple[list[tuple[int, int, int, int]], list[int]]:
     crossings = []
     markers = []
     for lineno, raw in enumerate(body.splitlines(), 1):
@@ -102,10 +107,12 @@ def _parse_lines(body: str) -> "LinkDiagram":
                 raise ValueError
         except ValueError:
             raise PDSyntaxError(f"bad line {lineno}: {raw.strip()!r}") from None
-    return _build(crossings, markers)
+    return crossings, markers
 
 
-def _build(quads: Sequence[tuple[int, int, int, int]], markers: Sequence[int]) -> "LinkDiagram":
+def parse_pd(text: str) -> "LinkDiagram":
+    """Parse PD text, in either form ``tokenize_pd`` reads, into a validated diagram."""
+    quads, markers = tokenize_pd(text)
     d = LinkDiagram([Crossing(i, q) for i, q in enumerate(quads, 1)], markers)
     # Euler: a piece with n crossings lies on a sphere iff it has n + 2 faces
     if len(d.faces) != len(d.crossings) + 2 * d.pieces():
@@ -113,28 +120,26 @@ def _build(quads: Sequence[tuple[int, int, int, int]], markers: Sequence[int]) -
     return d
 
 
-def orbits(step: Callable, elements: Iterable) -> list[tuple]:
-    """The cycles of the permutation ``step`` of ``elements``.
+def orbits(succ: dict) -> list[tuple]:
+    """The cycles of the permutation that maps each key of ``succ`` to its value.
 
     Each cycle starts at its least element and the cycles come in order
     of those elements.  A walk that revisits an element before closing
     raises DiagramError.
     """
-    seen: set = set()
+    todo = dict(succ)  # each element is popped when its cycle reaches it
     cycles = []
-    for start in sorted(elements):
-        if start in seen:
-            continue
-        cyc = [start]
-        seen.add(start)
-        x = step(start)
-        while x != start:
-            if x in seen:
-                raise DiagramError("successor relation does not close into cycles")
-            cyc.append(x)
-            seen.add(x)
-            x = step(x)
-        cycles.append(tuple(cyc))
+    try:
+        for start in sorted(succ):
+            if start in todo:
+                cyc = [start]
+                x = todo.pop(start)
+                while x != start:
+                    cyc.append(x)
+                    x = todo.pop(x)
+                cycles.append(tuple(cyc))
+    except KeyError:
+        raise DiagramError("successor relation does not close into cycles") from None
     return cycles
 
 
@@ -173,13 +178,49 @@ class LinkDiagram:
         self._by_id = {c.id: c for c in self.crossings}
         if len(self._by_id) != len(self.crossings):
             raise DiagramError("duplicate crossing ids")
-        self._validate_arcs()
-        self._orient(signs or {})
-        self._trace_components()
+        self._sign = dict(signs or {})
+        unknown = self._sign.keys() - self._by_id.keys()
+        if unknown:
+            raise DiagramError(f"sign given for unknown crossing id {min(unknown)}")
+        if len(self._sign) < len(self.crossings):
+            self._propagate_signs(self._arc_positions())
+        # one pass: slot 0 in, slot 2 out, and the sign picks the incoming over slot
+        head, tail, succ = {}, {}, {}
+        try:
+            for c in self.crossings:
+                cid = c.id
+                a, b, e, f = c.arcs
+                sign = self._sign[cid]
+                if sign == 1:
+                    head[f], tail[b], succ[f] = (cid, 3), (cid, 1), b
+                elif sign == -1:
+                    head[b], tail[f], succ[b] = (cid, 1), (cid, 3), f
+                else:
+                    raise DiagramError(f"crossing {cid} has sign {sign!r}, expected +1 or -1")
+                head[a], tail[e], succ[a] = (cid, 0), (cid, 2), e
+        except (TypeError, ValueError):  # an unhashable arc or not four arcs: the table names it
+            self._arc_positions()
+            raise
+        # every arc has one incoming and one outgoing end, so exactly two ends
+        oriented = len(head) == len(tail) == 2 * len(self.crossings) and head.keys() == tail.keys()
+        if not oriented or not all(isinstance(arc, int) and arc > 0 for arc in head):
+            self._arc_positions()  # raises on a bad or miscounted arc
+        if len(set(self.markers)) != len(self.markers):
+            raise DiagramError("duplicate unknot markers")
+        for m in self.markers:
+            if not isinstance(m, int) or m < 1:
+                raise DiagramError(f"marker identifiers must be positive integers, got {m!r}")
+            if m in head or m in tail:
+                raise DiagramError(f"marker {m} collides with an arc identifier")
+        if not oriented:
+            raise DiagramError("inconsistent orientation traversal")
+        self._head, self._tail = head, tail
+        succ.update((m, m) for m in self.markers)  # a marker is a one-element cycle
+        self.components: tuple[tuple[int, ...], ...] = tuple(orbits(succ))
+        self._component_of = {arc: idx for idx, cyc in enumerate(self.components, 1) for arc in cyc}
 
-    # -- construction-time validation ------------------------------------
-
-    def _validate_arcs(self) -> None:
+    def _arc_positions(self) -> dict[int, list[tuple[int, int]]]:
+        """The (crossing, slot) ends of every arc; raises unless each arc is a positive int used twice."""
         positions: dict[int, list[tuple[int, int]]] = {}
         for c in self.crossings:
             for slot, arc in enumerate(c.arcs):
@@ -189,42 +230,14 @@ class LinkDiagram:
         for arc, pos in positions.items():
             if len(pos) != 2:
                 raise DiagramError(f"arc {arc} appears {len(pos)} times, expected 2")
-        if len(set(self.markers)) != len(self.markers):
-            raise DiagramError("duplicate unknot markers")
-        for m in self.markers:
-            if not isinstance(m, int) or m < 1:
-                raise DiagramError(f"marker identifiers must be positive integers, got {m!r}")
-            if m in positions:
-                raise DiagramError(f"marker {m} collides with an arc identifier")
-        self._positions = positions
+        return positions
 
-    def _orient(self, signs: dict[int, int]) -> None:
-        """Fix the sign (+1 or -1) of every crossing and the head and tail of every arc.
+    def _propagate_signs(self, positions: dict[int, list[tuple[int, int]]]) -> None:
+        """Sign the crossings that have none (parsed codes, braid closures) from the under strands.
 
-        Given signs are kept.  Crossings without one (parsed codes, braid
-        closures) take it from the direction of an over arc, propagated
-        from the under strands.  A component that never passes under is
-        resolved by the sequential-numbering rule (the outgoing over arc
-        is the incoming one plus 1, with wraparound), falling back to a
-        fixed deterministic choice.
+        A component that never passes under takes the sequential-numbering rule (the outgoing
+        over arc is the incoming one plus 1, with wraparound), else a fixed deterministic choice.
         """
-        self._sign = {c.id: signs[c.id] for c in self.crossings if c.id in signs}
-        if len(self._sign) < len(self.crossings):
-            self._propagate_signs()
-        self._head: dict[int, tuple[int, int]] = {}
-        self._tail: dict[int, tuple[int, int]] = {}
-        for arc, (p, q) in self._positions.items():
-            p_in = self._incoming(*p)
-            if p_in == self._incoming(*q):
-                raise DiagramError("inconsistent orientation traversal")
-            self._head[arc], self._tail[arc] = (p, q) if p_in else (q, p)
-
-    def _incoming(self, cid: int, slot: int) -> bool:
-        if slot % 2 == 0:
-            return slot == 0
-        return (slot == 3) == (self._sign[cid] > 0)
-
-    def _propagate_signs(self) -> None:
         sign = self._sign
         stack = [(c.id, slot) for c in self.crossings for slot in range(4)]
 
@@ -234,10 +247,10 @@ class LinkDiagram:
                 cid, slot = stack.pop()
                 if slot % 2 and cid not in sign:
                     continue
-                p, q = self._positions[self._by_id[cid].arcs[slot]]
+                p, q = positions[self._by_id[cid].arcs[slot]]
                 far, far_slot = q if p == (cid, slot) else p
                 if far_slot % 2 and far not in sign:
-                    far_in = not self._incoming(cid, slot)
+                    far_in = slot != 0 if slot % 2 == 0 else (slot == 3) != (sign[cid] > 0)
                     sign[far] = 1 if far_in == (far_slot == 3) else -1
                     stack.extend(((far, 1), (far, 3)))
 
@@ -255,16 +268,6 @@ class LinkDiagram:
             stack.extend(((c.id, 1), (c.id, 3)))
             propagate()
 
-    def _trace_components(self) -> None:
-        succ = {m: m for m in self.markers}  # a marker is a one-element cycle
-        for arc, (cid, slot) in self._head.items():
-            succ[arc] = self._by_id[cid].arcs[(slot + 2) % 4]
-        self.components: tuple[tuple[int, ...], ...] = tuple(orbits(succ.__getitem__, succ))
-        self._component_of = {}
-        for idx, cyc in enumerate(self.components, 1):
-            for arc in cyc:
-                self._component_of[arc] = idx
-
     # -- basic accessors ---------------------------------------------------
 
     @property
@@ -273,7 +276,7 @@ class LinkDiagram:
 
     @property
     def arcs(self) -> frozenset[int]:
-        return frozenset(self._positions)
+        return frozenset(self._head)
 
     def crossing(self, cid: int) -> Crossing:
         try:
@@ -282,8 +285,7 @@ class LinkDiagram:
             raise DiagramError(f"unknown crossing id {cid}") from None
 
     def is_incoming(self, cid: int, slot: int) -> bool:
-        self.crossing(cid)
-        return self._incoming(cid, slot)
+        return self._head.get(self.crossing(cid).arcs[slot]) == (cid, slot)
 
     def sign(self, cid: int) -> int:
         """Right-hand-rule sign: +1 iff the over strand enters at slot 3."""
@@ -317,7 +319,7 @@ class LinkDiagram:
         return self._head[arc] if fwd else self._tail[arc]
 
     def fresh_arc_ids(self, n: int) -> list[int]:
-        top = max(itertools.chain(self._positions, self.markers, [0]))
+        top = max(itertools.chain(self._head, self.markers, [0]))
         return [top + i for i in range(1, n + 1)]
 
     def fresh_crossing_id(self) -> int:
@@ -332,11 +334,7 @@ class LinkDiagram:
         for k in (i, j):
             if not 1 <= k <= self.component_count:
                 raise DiagramError(f"no component {k}")
-        total = 0
-        for c in self.crossings:
-            under, over = self.strand_components(c.id)
-            if {under, over} == {i, j}:
-                total += self.sign(c.id)
+        total = sum(self._sign[c.id] for c in self.crossings if set(self.strand_components(c.id)) == {i, j})
         if total % 2:
             raise DiagramError("odd inter-component crossing sum; diagram is not a closed-curve projection")
         return total // 2
@@ -413,12 +411,7 @@ class LinkDiagram:
         rename: dict[int, int] = {}
         markers = [m for m in self.markers if m not in set(drop_markers)]
         for rep, members in classes.items():
-            remaining = sum(
-                1
-                for arc in members
-                for (cid, _slot) in self._positions[arc]
-                if cid not in removed
-            )
+            remaining = sum(end[0] not in removed for a in members for end in (self._head[a], self._tail[a]))
             if remaining == 0:
                 markers.append(rep)
                 # such a class must chain head-to-tail into closed loops
@@ -428,6 +421,9 @@ class LinkDiagram:
             else:
                 raise DiagramError("glue classes must close into one arc or one loop")
         overrides = replace or {}
+        # only the crossings at an overwritten slot or at an end of a renamed arc change
+        touched = {cid for cid, _slot in overrides}
+        touched.update(end[0] for a in rename for end in (self._head[a], self._tail[a]))
         kept = [
             Crossing(
                 c.id,
@@ -436,6 +432,8 @@ class LinkDiagram:
                     for slot, a in enumerate(c.arcs)
                 ),
             )
+            if c.id in touched
+            else c
             for c in self.crossings
             if c.id not in removed
         ]
@@ -454,20 +452,43 @@ class LinkDiagram:
         Arriving at a crossing through slot s, the face continues out of
         slot s-1 (mod 4).  Markers take part in no face.
         """
-        def next_da(da: tuple[int, bool]) -> tuple[int, bool]:
-            cid, slot = self.corner(da)
-            out_slot = (slot - 1) % 4
-            nxt = self._by_id[cid].arcs[out_slot]
-            return (nxt, self._tail[nxt] == (cid, out_slot))
+        step = dict(turn for c in self.crossings for turn in self._turns(c))
+        return tuple(orbits(step))
 
-        directed = [(arc, fwd) for arc in self._positions for fwd in (True, False)]
-        return tuple(orbits(next_da, directed))
+    def _turns(self, c: Crossing) -> tuple:
+        """(arriving, leaving) directed arcs at c's corners by slot: a face in through s leaves by s - 1."""
+        a, b, e, f = c.arcs  # slots 0 and 3 are incoming at a positive crossing, 0 and 1 at a negative one
+        if self._sign[c.id] > 0:
+            return (((a, True), (f, False)), ((b, False), (a, False)),
+                    ((e, False), (b, True)), ((f, True), (e, True)))
+        return (((a, True), (f, True)), ((b, True), (a, False)),
+                ((e, False), (b, False)), ((f, False), (e, True)))
+
+    def faces_at(self, cid: int, longest: int) -> list[tuple[tuple[int, bool], ...]]:
+        """The ``faces`` of at most ``longest`` sides at crossing ``cid`` (none if unknown), walked alone."""
+        step: dict = {}  # the face steps at the crossings walked so far
+        found = set()
+        for start, _ in self._turns(self._by_id[cid]) if cid in self._by_id else ():
+            face, da = [], start
+            while len(face) < longest:
+                face.append(da)
+                if da not in step:
+                    step.update(self._turns(self._by_id[self.corner(da)[0]]))
+                da = step[da]
+                if da == start:  # closed: start it at its least directed arc, as faces does
+                    found.add(min(tuple(face[i:] + face[:i]) for i in range(len(face))))
+                    break
+        return sorted(found)
+
+    @cached_property
+    def _pieces(self) -> int:
+        parent: dict[int, int] = {}
+        merges = sum(union(parent, self._head[a][0], self._tail[a][0]) for a in self._head)
+        return len(self.crossings) - merges
 
     def pieces(self) -> int:
         """Connected pieces of the 4-valent graph of crossings (markers not counted)."""
-        parent: dict[int, int] = {}
-        merges = sum(union(parent, c1, c2) for (c1, _), (c2, _) in self._positions.values())
-        return len(self.crossings) - merges
+        return self._pieces
 
     def connected(self) -> bool:
         """True when the diagram, markers included, has a single piece."""

@@ -5,6 +5,11 @@ for R1 removal, non-clasp bigon for R2 removal, over/over-under/under
 triangle for R3), so every accepted rewrite is a genuine planar move on
 honestly planar codes.
 
+``remove_r2`` and ``slide_r3`` check their site locally: they walk only
+the faces at one named crossing (``LinkDiagram.faces_at``) and take the
+first that fits in ``faces`` order, the face that listing every site with
+``bigon_arcs`` or ``find_triangles`` (as the search does) would pick.
+
 Crossings are built by :func:`sato4.diagram.make_crossing`.
 """
 
@@ -116,8 +121,12 @@ def add_r2(d: LinkDiagram, x: int, y: int, x_over: bool) -> LinkDiagram:
 
 def bigon_arcs(d: LinkDiagram) -> dict[tuple[int, int], tuple[int, int]]:
     """Corner pair -> the two arcs, for the first bigon face at each pair of crossings."""
+    return _bigons(d, d.faces)
+
+
+def _bigons(d: LinkDiagram, faces) -> dict[tuple[int, int], tuple[int, int]]:
     out: dict[tuple[int, int], tuple[int, int]] = {}
-    for f in d.faces:
+    for f in faces:
         if len(f) == 2:
             c1, c2 = (d.corner(da)[0] for da in f)
             if c1 != c2:
@@ -140,7 +149,7 @@ def remove_r2(d: LinkDiagram, cid1: int, cid2: int) -> LinkDiagram:
     if cid1 == cid2:
         raise MoveError("need two distinct crossings")
     pair = (min(cid1, cid2), max(cid1, cid2))
-    bigon = bigon_arcs(d).get(pair)
+    bigon = _bigons(d, d.faces_at(cid1, 2)).get(pair)
     if bigon is None:
         raise MoveError(f"crossings {cid1},{cid2} do not cobound a bigon")
     if is_clasp(d, bigon):
@@ -160,13 +169,13 @@ def remove_r2(d: LinkDiagram, cid1: int, cid2: int) -> LinkDiagram:
 
 def find_triangles(d: LinkDiagram) -> list[tuple[int, int, int]]:
     """Corner triples of triangular faces admitting a slide."""
-    return sorted(_slidable_triangles(d))
+    return sorted(_slidable_triangles(d, d.faces))
 
 
-def _slidable_triangles(d: LinkDiagram) -> dict[tuple[int, int, int], tuple]:
-    """Sorted corner triple -> the first face with those three corners admitting a slide."""
+def _slidable_triangles(d: LinkDiagram, faces) -> dict[tuple[int, int, int], tuple]:
+    """Sorted corner triple -> the first of the faces with those three corners admitting a slide."""
     out: dict[tuple[int, int, int], tuple] = {}
-    for f in d.faces:
+    for f in faces:
         if len(f) == 3 and len({arc for arc, _ in f}) == 3:
             corners = tuple(sorted(d.corner(da)[0] for da in f))
             if len(set(corners)) == 3 and _r3_pattern_ok(d, f):
@@ -184,10 +193,8 @@ def _passages(d: LinkDiagram, face):
 
 
 def _r3_pattern_ok(d: LinkDiagram, face) -> bool:
-    kinds = []
-    for (c1, s1), (c2, s2) in _passages(d, face):
-        kinds.append((s1 % 2 == 1) + (s2 % 2 == 1))
-    return sorted(kinds) == [0, 1, 2]
+    # how many of the two ends of each side pass over
+    return sorted(s1 % 2 + s2 % 2 for (_, s1), (_, s2) in _passages(d, face)) == [0, 1, 2]
 
 
 def slide_r3(d: LinkDiagram, cids: tuple[int, int, int]) -> LinkDiagram:
@@ -195,7 +202,7 @@ def slide_r3(d: LinkDiagram, cids: tuple[int, int, int]) -> LinkDiagram:
     want = tuple(sorted(cids))
     if len(set(want)) != 3:
         raise MoveError("need three distinct crossings")
-    face = _slidable_triangles(d).get(want)
+    face = _slidable_triangles(d, d.faces_at(want[0], 3)).get(want)
     if face is None:
         raise MoveError(f"no slidable triangle with corners {want}")
     return _apply_r3(d, face)

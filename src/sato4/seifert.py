@@ -55,7 +55,7 @@ class SeifertMatrix:
 def seifert_circles(d: LinkDiagram) -> list[tuple[int, ...]]:
     """The cycles of arcs obtained by smoothing every crossing."""
     glue = dict(pair for c in d.crossings for pair in d.smoothing_pairs(c.id))
-    return orbits(glue.__getitem__, glue)
+    return orbits(glue)
 
 
 # -- the surface and its cycle basis ---------------------------------------------

@@ -185,6 +185,49 @@ def test_verify_flags_wrong_link_script(tmp_path, corpus_dir, capsys):
 
 
 @pytest.mark.parametrize(
+    "fixture, link",
+    [
+        ("unlink2", "PD[U[2], U[1]]"),
+        ("unlink2", "U 2\nU 1\n"),
+        ("kinked_split", "PD[U[3], X[1,1,2,2]]"),
+        ("kinked_split", "# a kink beside a circle\nX 1 1 2 2\nU 3\n"),
+        ("whitehead", "X[2,4,5,1] X[4,3,6,7]\nX[7,8,9,5] X[8,6,3,11] X[11,2,1,9]"),
+    ],
+)
+def test_script_link_in_another_layout_is_accepted(tmp_path, corpus_dir, fixture, link):
+    # the script's link is compared token by token: marker order and layout do not matter
+    work = tmp_path / fixture
+    shutil.copytree(corpus_dir / fixture, work)
+    for f in (work / "scripts").glob("*.json"):
+        f.write_text(json.dumps({**json.loads(f.read_text()), "link": link}))
+    entry = load_entry(work)
+    assert [s.link for s in entry.scripts] == [link] * len(entry.scripts)
+    assert entry.diagram == load_entry(corpus_dir / fixture).diagram
+
+
+@pytest.mark.parametrize(
+    "fixture, link",
+    [
+        ("unlink2", "PD[U[1], U[3]]"),
+        ("kinked_split", "PD[X[1,1,2,2], U[4]]"),
+        # arc 11 renamed to 12 in both of its crossings: a valid code, another diagram
+        ("whitehead", "PD[X[2,4,5,1], X[4,3,6,7], X[7,8,9,5], X[8,6,3,12], X[12,2,1,9]]"),
+        # one end of arc 11 changed: not a diagram at all
+        ("whitehead", "PD[X[2,4,5,1], X[4,3,6,7], X[7,8,9,5], X[8,6,3,11], X[12,2,1,9]]"),
+    ],
+)
+def test_script_link_with_one_arc_changed_is_rejected(tmp_path, corpus_dir, capsys, fixture, link):
+    work = tmp_path / "corpus"
+    shutil.copytree(corpus_dir, work)
+    f = sorted((work / fixture / "scripts").glob("*.json"))[0]
+    f.write_text(json.dumps({**json.loads(f.read_text()), "link": link}))
+    with pytest.raises(CorpusError, match="does not start from link.pd"):
+        load_entry(work / fixture)
+    assert main(["verify", str(work)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {fixture}/{f.name}: the script does not start")
+
+
+@pytest.mark.parametrize(
     "meta",
     [[2], {"linking_number": 0}, {"components": "two"}, {"components": True},
      {"components": 2, "linking_number": "0"}, {"components": 2.0}],

@@ -1,0 +1,235 @@
+"""Diagram construction: the one-pass orientation, its errors, and local R2/R3 site checks.
+
+A test-local reference rebuilds what construction computes in the
+slow, obvious way (a table of each arc's two ends, the in/out role of
+every end read from the crossing's sign, the face walk one directed arc
+at a time) and is compared with every diagram the pipeline builds.
+"""
+
+import random
+
+import pytest
+
+from sato4.conway import clear_memo, conway
+from sato4.corpus import load_entry
+from sato4.diagram import Crossing, LinkDiagram, parse_pd
+from sato4.errors import DiagramError
+from sato4.movies import run_script
+from sato4.rewrites import _bigons, _slidable_triangles, add_r2, bigon_arcs, remove_r2
+from sato4.search import apply_move, auto_script, enumerate_moves
+
+HOPF = "PD[X[4,1,3,2],X[2,3,1,4]]"
+UNLINK_R2 = "PD[X[2,3,4,1], X[4,3,2,1]]"  # braid_closure([1, -1], 2): strand 1 passes over twice
+
+
+def _cycles(step, elements):
+    out, seen = [], set()
+    for start in sorted(elements):
+        if start not in seen:
+            cyc = [start]
+            x = step(start)
+            while x != start:
+                cyc.append(x)
+                x = step(x)
+            seen.update(cyc)
+            out.append(tuple(cyc))
+    return tuple(out)
+
+
+def _reference(d: LinkDiagram):
+    """(arcs, head, tail, components, faces) recomputed end by end from the crossings and signs."""
+    positions = {}
+    for c in d.crossings:
+        for slot, arc in enumerate(c.arcs):
+            positions.setdefault(arc, []).append((c.id, slot))
+
+    def incoming(cid, slot):
+        if slot % 2 == 0:
+            return slot == 0
+        return (slot == 3) == (d.sign(cid) > 0)
+
+    head, tail = {}, {}
+    for arc, (p, q) in positions.items():
+        assert incoming(*p) != incoming(*q)
+        head[arc], tail[arc] = (p, q) if incoming(*p) else (q, p)
+    succ = {m: m for m in d.markers}
+    for arc, (cid, slot) in head.items():
+        succ[arc] = d.crossing(cid).arcs[(slot + 2) % 4]
+
+    def next_da(da):
+        arc, fwd = da
+        cid, slot = head[arc] if fwd else tail[arc]
+        out = (slot - 1) % 4
+        nxt = d.crossing(cid).arcs[out]
+        return nxt, tail[nxt] == (cid, out)
+
+    directed = [(arc, fwd) for arc in positions for fwd in (True, False)]
+    return set(positions), head, tail, _cycles(succ.__getitem__, succ), _cycles(next_da, directed)
+
+
+def _scrambled(rng: random.Random, lk0_closure) -> LinkDiagram:
+    d = lk0_closure(rng)
+    for _ in range(4):
+        d = apply_move(d, rng.choice(enumerate_moves(d, include_sc=False, include_adds=True)))
+    return d
+
+
+def test_one_pass_matches_the_reference_on_every_built_diagram(built, lk0_closure, corpus_dir, corpus):
+    rng = random.Random(1122)
+    for _ in range(4):
+        d = _scrambled(rng, lk0_closure)
+        script = auto_script(d)
+        run_script(script, d)
+        clear_memo()
+        conway(d)
+    for entry in corpus:
+        d = parse_pd(entry.diagram.serialize())
+        clear_memo()
+        conway(d)
+        for script in load_entry(corpus_dir / entry.name).scripts:
+            run_script(script, d)
+    clear_memo()
+    diagrams = list(built)
+    assert len(diagrams) > 400
+    assert any(d.markers for d in diagrams) and any(d.component_count == 1 for d in diagrams)
+    for d in diagrams:
+        arcs, head, tail, components, faces = _reference(d)
+        assert d.arcs == arcs, d.serialize()
+        assert {arc: d.head(arc) for arc in arcs} == head
+        assert {arc: d.tail(arc) for arc in arcs} == tail
+        assert d.components == components
+        assert d.faces == faces
+
+
+def test_derived_diagrams_share_untouched_crossings():
+    d = parse_pd("PD[X[1,4,2,5],X[3,6,4,1],X[5,2,6,3]]")
+    switched = d.switch(2)
+    assert switched.crossings[0] is d.crossings[0] and switched.crossings[2] is d.crossings[2]
+    assert all(a is b for a, b in zip(d.rebuild().crossings, d.crossings))
+
+
+# each construction error keeps its type and its message
+_CONSTRUCTION_ERRORS = [
+    ([Crossing(1, (1, 1, 2, 2)), Crossing(1, (3, 3, 4, 4))], (), "duplicate crossing ids"),
+    ([Crossing(1, (1, 1, 0, 0))], (), "arc identifiers must be positive integers, got 0"),
+    ([Crossing(1, (1, 1, -2, -2))], (), "arc identifiers must be positive integers, got -2"),
+    ([Crossing(1, (1, 1, "a", "a"))], (), "arc identifiers must be positive integers, got 'a'"),
+    ([Crossing(1, (1, 1, 2.0, 2.0))], (), "arc identifiers must be positive integers, got 2.0"),
+    ([Crossing(1, (1, 1, [2], [2]))], (), "arc identifiers must be positive integers, got [2]"),
+    ([Crossing(1, (1, 1, 2, 3))], (), "arc 2 appears 1 times, expected 2"),
+    ([Crossing(1, (1, 1, 2))], (), "arc 2 appears 1 times, expected 2"),
+    ([Crossing(1, (1, 1, 1, 2)), Crossing(2, (2, 3, 3, 4))], (), "arc 1 appears 3 times, expected 2"),
+    ([Crossing(1, (1, 1, 2, 2))], (3, 3), "duplicate unknot markers"),
+    ([Crossing(1, (1, 1, 2, 2))], (0,), "marker identifiers must be positive integers, got 0"),
+    ([Crossing(1, (1, 1, 2, 2))], (2,), "marker 2 collides with an arc identifier"),
+    # arc 1 enters both crossings at slot 0
+    ([Crossing(1, (1, 2, 3, 4)), Crossing(2, (1, 4, 3, 2))], (), "inconsistent orientation traversal"),
+]
+
+
+@pytest.mark.parametrize("crossings, markers, message", _CONSTRUCTION_ERRORS)
+@pytest.mark.parametrize("signed", [False, True])
+def test_construction_errors_keep_their_messages(crossings, markers, message, signed):
+    # unsigned codes are oriented by propagation; signed ones by the one-pass loop alone
+    signs = {c.id: 1 for c in crossings} if signed else None
+    with pytest.raises(DiagramError) as err:
+        LinkDiagram(crossings, markers, signs)
+    assert str(err.value) == message
+
+
+def test_one_flipped_sign_is_an_orientation_error(lk0_closure):
+    rng = random.Random(7)
+    for d in [_scrambled(rng, lk0_closure) for _ in range(3)] + [parse_pd(HOPF)]:
+        signs = {c.id: d.sign(c.id) for c in d.crossings}
+        for cid in signs:
+            with pytest.raises(DiagramError) as err:
+                LinkDiagram(d.crossings, d.markers, {**signs, cid: -signs[cid]})
+            assert str(err.value) == "inconsistent orientation traversal"
+
+
+def test_signs_other_than_plus_or_minus_one_are_rejected():
+    d = parse_pd(HOPF)
+    doubled = {c.id: 2 * d.sign(c.id) for c in d.crossings}
+    with pytest.raises(DiagramError) as err:
+        LinkDiagram(d.crossings, d.markers, doubled)
+    assert str(err.value) == f"crossing 1 has sign {doubled[1]}, expected +1 or -1"
+    with pytest.raises(DiagramError, match="has sign 0"):
+        LinkDiagram(d.crossings, d.markers, {1: 0})  # crossing 2 is signed by propagation
+
+
+def test_signs_for_unknown_crossings_are_rejected():
+    d = parse_pd(HOPF)
+    signs = {c.id: d.sign(c.id) for c in d.crossings}
+    with pytest.raises(DiagramError, match="^sign given for unknown crossing id 99$"):
+        LinkDiagram(d.crossings, d.markers, {**signs, 99: 1})
+    with pytest.raises(DiagramError, match="unknown crossing id 99"):
+        LinkDiagram((), (1,), {99: -1})
+
+
+def test_pieces_are_counted_once(monkeypatch, by_name):
+    import sato4.diagram as diagram
+
+    d = parse_pd(by_name["trefoils_split"].diagram.serialize())
+    calls = []
+    union = diagram.union
+    monkeypatch.setattr(diagram, "union", lambda *a: calls.append(a) or union(*a))
+    assert d.pieces() == 2 and not d.connected() and not d.connected()
+    assert calls == []  # parse_pd's planarity check counted them already
+    fresh = d.switch(1)
+    assert fresh.pieces() == 2 and fresh.pieces() == 2
+    assert len(calls) == len(fresh.arcs)
+
+
+def _faces_with_corner(d, cid, longest):
+    return [f for f in d.faces if len(f) <= longest and cid in {d.corner(da)[0] for da in f}]
+
+
+def _local_check_diagrams(lk0_closure, corpus):
+    rng = random.Random(2468)
+    diagrams = [parse_pd(HOPF), parse_pd(UNLINK_R2)] + [e.diagram for e in corpus]
+    for _ in range(12):
+        d = _scrambled(rng, lk0_closure)
+        diagrams.append(d)
+        face = next(f for f in d.faces if len({arc for arc, _ in f}) > 1)
+        diagrams.append(add_r2(d, face[0][0], next(arc for arc, _ in face if arc != face[0][0]), True))
+    return diagrams
+
+
+def test_faces_at_a_corner_are_the_global_faces_there(lk0_closure, corpus):
+    for d in _local_check_diagrams(lk0_closure, corpus):
+        for c in d.crossings:
+            for longest in (1, 2, 3, 6):
+                assert d.faces_at(c.id, longest) == _faces_with_corner(d, c.id, longest)
+        assert d.faces_at(d.fresh_crossing_id(), 3) == []
+
+
+def test_local_site_check_picks_the_global_face(lk0_closure, corpus):
+    sites = {"r2_remove": 0, "r3": 0}
+    for d in _local_check_diagrams(lk0_closure, corpus):
+        every_bigon = bigon_arcs(d)
+        every_triangle = _slidable_triangles(d, d.faces)
+        for m in enumerate_moves(d, include_sc=False):
+            if m.kind in sites:
+                sites[m.kind] += 1
+            for cid in m.crossings:  # the check walks the faces at any one named corner
+                if m.kind == "r2_remove":
+                    pair = m.crossings
+                    assert _bigons(d, d.faces_at(cid, 2)).get(pair) == every_bigon[pair]
+                elif m.kind == "r3":
+                    tri = m.crossings
+                    assert _slidable_triangles(d, d.faces_at(cid, 3)).get(tri) == every_triangle[tri]
+        for pair in every_bigon:  # clasps too, which enumerate_moves leaves out
+            assert _bigons(d, d.faces_at(pair[1], 2))[pair] == every_bigon[pair]
+    assert sites["r2_remove"] > 20 and sites["r3"] > 5
+
+
+def test_bigons_sharing_both_corners():
+    # every face of these 2-crossing diagrams is a bigon at crossings 1 and 2
+    hopf = parse_pd(HOPF)
+    assert hopf.faces_at(1, 2) == hopf.faces_at(2, 2) == list(hopf.faces)
+    with pytest.raises(Exception, match="bigon is a clasp"):
+        remove_r2(hopf, 2, 1)
+    unlink = parse_pd(UNLINK_R2)
+    assert len(unlink.faces_at(1, 2)) == 4
+    assert bigon_arcs(unlink) == {(1, 2): (1, 4)}
+    assert remove_r2(unlink, 2, 1).serialize() == "PD[U[2], U[3]]"
