@@ -19,7 +19,12 @@ incoming over arc.  ``make_crossing`` writes this slot template and
 the signs of the crossings they keep.  Construction reads the template
 in one pass over the crossings, writing each arc's head, tail and
 successor; a table of each arc's two ends is built only to sign parsed
-codes and to name the arc in an error message.
+codes and to name the arc in an error message.  A crossing switch is
+the one derived diagram that skips this: it keeps its parent's arcs,
+components and piece count, shares every other ``Crossing``, and
+rewrites only the switched crossing's slots and sign and the head and
+tail of its four arcs.  Pieces are counted over components: one union
+per crossing, of the components of its two strands.
 
 Diagrams are immutable values; every operation returns a new diagram.
 """
@@ -191,12 +196,13 @@ class LinkDiagram:
                 cid = c.id
                 a, b, e, f = c.arcs
                 sign = self._sign[cid]
-                if sign == 1:
-                    head[f], tail[b], succ[f] = (cid, 3), (cid, 1), b
-                elif sign == -1:
-                    head[b], tail[f], succ[b] = (cid, 1), (cid, 3), f
-                else:
+                positive = sign == 1
+                if type(sign) is not int or not (positive or sign == -1):  # True and 1.0 equal 1
                     raise DiagramError(f"crossing {cid} has sign {sign!r}, expected +1 or -1")
+                if positive:
+                    head[f], tail[b], succ[f] = (cid, 3), (cid, 1), b
+                else:
+                    head[b], tail[f], succ[b] = (cid, 1), (cid, 3), f
                 head[a], tail[e], succ[a] = (cid, 0), (cid, 2), e
         except (TypeError, ValueError):  # an unhashable arc or not four arcs: the table names it
             self._arc_positions()
@@ -359,12 +365,31 @@ class LinkDiagram:
         """Exchange over and under strands at one crossing.
 
         Arcs, orientations and all other crossings are untouched, and the
-        sign of the crossing is negated.
+        sign of the crossing is negated.  The result is derived from this
+        diagram without a rebuild: it shares the components, the piece
+        count and every other ``Crossing``, and rewrites only this
+        crossing's slots and sign and the ends of its four arcs.
         """
         under, over = self.strands(cid)
-        new = make_crossing(cid, over, under, -self._sign[cid])
-        replaced = [new if x.id == cid else x for x in self.crossings]
-        return LinkDiagram(replaced, self.markers, {**self._sign, cid: -self._sign[cid]})
+        sign = -self._sign[cid]
+        new = make_crossing(cid, over, under, sign)
+        out = LinkDiagram.__new__(LinkDiagram)
+        out.crossings = tuple(new if c.id == cid else c for c in self.crossings)
+        out.markers = self.markers
+        out._by_id = {**self._by_id, cid: new}
+        out._sign = {**self._sign, cid: sign}
+        out._head, out._tail = head, tail = dict(self._head), dict(self._tail)
+        a, b, e, f = new.arcs  # the template __init__ reads
+        head[a], tail[e] = (cid, 0), (cid, 2)
+        if sign > 0:
+            head[f], tail[b] = (cid, 3), (cid, 1)
+        else:
+            head[b], tail[f] = (cid, 1), (cid, 3)
+        # each strand still runs from its in arc to its out arc, so the successor cycles stand
+        out.components, out._component_of = self.components, self._component_of
+        if "_pieces" in vars(self):
+            out._pieces = self._pieces
+        return out
 
     def mirror(self) -> "LinkDiagram":
         """Switch every crossing (the mirror-image diagram)."""
@@ -466,25 +491,43 @@ class LinkDiagram:
 
     def faces_at(self, cid: int, longest: int) -> list[tuple[tuple[int, bool], ...]]:
         """The ``faces`` of at most ``longest`` sides at crossing ``cid`` (none if unknown), walked alone."""
-        step: dict = {}  # the face steps at the crossings walked so far
-        found = set()
-        for start, _ in self._turns(self._by_id[cid]) if cid in self._by_id else ():
-            face, da = [], start
-            while len(face) < longest:
-                face.append(da)
-                if da not in step:
-                    step.update(self._turns(self._by_id[self.corner(da)[0]]))
-                da = step[da]
-                if da == start:  # closed: start it at its least directed arc, as faces does
-                    found.add(min(tuple(face[i:] + face[:i]) for i in range(len(face))))
-                    break
+        if cid not in self._by_id:
+            return []
+        step: dict = {}
+        found = {self._face_from(start, step, longest) for start, _ in self._turns(self._by_id[cid])}
+        found.discard(None)
         return sorted(found)
+
+    def faces_along(self, arc: int) -> list[tuple[tuple[int, bool], ...]]:
+        """The ``faces`` on the two sides of ``arc`` (one if both sides are one face), walked alone."""
+        if arc not in self._head:
+            return []
+        step: dict = {}
+        return sorted({self._face_from((arc, fwd), step, 2 * len(self._head)) for fwd in (True, False)})
+
+    def _face_from(self, start: tuple[int, bool], step: dict, longest: int):
+        """The face through directed arc ``start`` as ``faces`` has it, or None past ``longest`` sides.
+
+        ``step`` holds the face steps at the crossings walked so far and grows with the walk.
+        """
+        face, da = [], start
+        while len(face) < longest:
+            face.append(da)
+            if da not in step:
+                step.update(self._turns(self._by_id[self.corner(da)[0]]))
+            da = step[da]
+            if da == start:  # closed: start it at its least directed arc, as faces does
+                i = face.index(min(face))
+                return tuple(face[i:] + face[:i])
+        return None
 
     @cached_property
     def _pieces(self) -> int:
+        # each crossing joins the components of its two strands; a marker's component has none
         parent: dict[int, int] = {}
-        merges = sum(union(parent, self._head[a][0], self._tail[a][0]) for a in self._head)
-        return len(self.crossings) - merges
+        comp = self._component_of
+        merges = sum(union(parent, comp[c.arcs[0]], comp[c.arcs[1]]) for c in self.crossings)
+        return len(self.components) - len(self.markers) - merges
 
     def pieces(self) -> int:
         """Connected pieces of the 4-valent graph of crossings (markers not counted)."""

@@ -193,6 +193,12 @@ def smoothing_loop_linking(d: LinkDiagram, cid: int) -> tuple[int, int]:
     Requires a 2-component diagram and a self-crossing; the loops' values
     are opposite whenever the diagram's own linking number vanishes.
     Ordered by the loops' smallest identifiers.
+
+    The smoothing is not built.  One walk of the crossing's component
+    from its outgoing under arc runs along the first loop up to the
+    incoming over arc, then along the second loop; each loop's linking
+    number is half the signed count of the crossings it meets whose
+    other strand lies on the other component.
     """
     if d.component_count != 2:
         raise MoveError(f"need exactly 2 components, got {d.component_count}")
@@ -201,15 +207,22 @@ def smoothing_loop_linking(d: LinkDiagram, cid: int) -> tuple[int, int]:
             f"crossing {cid} joins distinct components; "
             "changing it would break disc disjointness"
         )
-    s = d.strand_components(cid)[0]
-    other = 1 if s == 2 else 2
-    other_arc = d.components[other - 1][0]
-    sm = d.smooth(cid)
-    t_idx = sm.component_of(other_arc)
-    pieces = [k for k in range(1, sm.component_count + 1) if k != t_idx]
-    if len(pieces) != 2:
-        raise MoveError("smoothing a self-crossing must split its component")
-    return tuple(sm.linking_number(p, t_idx) for p in pieces)
+    other = 3 - d.strand_components(cid)[0]
+    (_, under_out), (_, over_out) = d.strands(cid)
+    loops = []
+    for arc in (under_out, over_out):  # each loop closes where the walk comes back to cid
+        least, total = arc, 0
+        c, slot = d.head(arc)
+        while c != cid:
+            if other in d.strand_components(c):
+                total += d.sign(c)
+            arc = d.crossing(c).arcs[(slot + 2) % 4]
+            least = min(least, arc)
+            c, slot = d.head(arc)
+        if total % 2:
+            raise DiagramError("odd inter-component crossing sum; diagram is not a closed-curve projection")
+        loops.append((least, total // 2))
+    return tuple(lam for _, lam in sorted(loops))
 
 
 def record_self_crossing_change(

@@ -9,6 +9,8 @@ honestly planar codes.
 the faces at one named crossing (``LinkDiagram.faces_at``) and take the
 first that fits in ``faces`` order, the face that listing every site with
 ``bigon_arcs`` or ``find_triangles`` (as the search does) would pick.
+``add_r2`` likewise walks only the faces on the two sides of its first
+arc (``LinkDiagram.faces_along``).
 
 Crossings are built by :func:`sato4.diagram.make_crossing`.
 """
@@ -93,14 +95,7 @@ def add_r2(d: LinkDiagram, x: int, y: int, x_over: bool) -> LinkDiagram:
     """
     if x == y:
         raise MoveError("r2_add needs two distinct arcs")
-    for face in d.faces:
-        da_x = next((da for da in face if da[0] == x), None)
-        da_y = next((da for da in face if da[0] == y), None)
-        if da_x and da_y:
-            break
-    else:
-        raise MoveError(f"arcs {x} and {y} do not cobound a face")
-    dx, dy = da_x[1], da_y[1]
+    dx, dy = _r2_sides(d, x, y)
     x2, y2, m1, m2 = d.fresh_arc_ids(4)
     cw = d.fresh_crossing_id()
     ce = cw + 1
@@ -117,6 +112,18 @@ def add_r2(d: LinkDiagram, x: int, y: int, x_over: bool) -> LinkDiagram:
         new_crossings=[c1, c2],
         new_signs={cw: sign, ce: -sign},
     )
+
+
+def _r2_sides(d: LinkDiagram, x: int, y: int) -> tuple[bool, bool]:
+    """The directions in which the first face of ``faces`` that both arcs bound runs along x and y.
+
+    Only the faces on the two sides of x can be that face, so only they are walked.
+    """
+    for face in d.faces_along(x):
+        dy = next((fwd for arc, fwd in face if arc == y), None)
+        if dy is not None:
+            return next(fwd for arc, fwd in face if arc == x), dy
+    raise MoveError(f"arcs {x} and {y} do not cobound a face")
 
 
 def bigon_arcs(d: LinkDiagram) -> dict[tuple[int, int], tuple[int, int]]:

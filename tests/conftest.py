@@ -34,15 +34,20 @@ def shipped_calibration(corpus_dir) -> Calibration:
 
 @pytest.fixture
 def built(monkeypatch):
-    """Every LinkDiagram constructed while the fixture is active."""
+    """Every LinkDiagram constructed or switched while the fixture is active."""
     diagrams = []
-    init = LinkDiagram.__init__
+    init, switch = LinkDiagram.__init__, LinkDiagram.switch
 
     def recording(self, *args, **kwargs):
         init(self, *args, **kwargs)
         diagrams.append(self)
 
+    def recording_switch(self, cid):  # a switch derives its diagram without __init__
+        diagrams.append(switch(self, cid))
+        return diagrams[-1]
+
     monkeypatch.setattr(LinkDiagram, "__init__", recording)
+    monkeypatch.setattr(LinkDiagram, "switch", recording_switch)
     return diagrams
 
 

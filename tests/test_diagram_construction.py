@@ -3,7 +3,8 @@
 A test-local reference rebuilds what construction computes in the
 slow, obvious way (a table of each arc's two ends, the in/out role of
 every end read from the crossing's sign, the face walk one directed arc
-at a time) and is compared with every diagram the pipeline builds.
+at a time, the pieces by a union over each arc's two crossings) and is
+compared with every diagram the pipeline builds or switches.
 """
 
 import random
@@ -12,10 +13,10 @@ import pytest
 
 from sato4.conway import clear_memo, conway
 from sato4.corpus import load_entry
-from sato4.diagram import Crossing, LinkDiagram, parse_pd
-from sato4.errors import DiagramError
-from sato4.movies import run_script
-from sato4.rewrites import _bigons, _slidable_triangles, add_r2, bigon_arcs, remove_r2
+from sato4.diagram import Crossing, LinkDiagram, parse_pd, union
+from sato4.errors import DiagramError, MoveError
+from sato4.movies import run_script, smoothing_loop_linking
+from sato4.rewrites import _bigons, _r2_sides, _slidable_triangles, add_r2, bigon_arcs, remove_r2
 from sato4.search import apply_move, auto_script, enumerate_moves
 
 HOPF = "PD[X[4,1,3,2],X[2,3,1,4]]"
@@ -37,7 +38,7 @@ def _cycles(step, elements):
 
 
 def _reference(d: LinkDiagram):
-    """(arcs, head, tail, components, faces) recomputed end by end from the crossings and signs."""
+    """(arcs, head, tail, components, faces, pieces) recomputed end by end from the crossings and signs."""
     positions = {}
     for c in d.crossings:
         for slot, arc in enumerate(c.arcs):
@@ -64,7 +65,11 @@ def _reference(d: LinkDiagram):
         return nxt, tail[nxt] == (cid, out)
 
     directed = [(arc, fwd) for arc in positions for fwd in (True, False)]
-    return set(positions), head, tail, _cycles(succ.__getitem__, succ), _cycles(next_da, directed)
+    parent = {}  # pieces: a union of the two crossings at the ends of every arc
+    merges = sum(union(parent, p[0], q[0]) for p, q in positions.values())
+    pieces = len(d.crossings) - merges
+    components, faces = _cycles(succ.__getitem__, succ), _cycles(next_da, directed)
+    return set(positions), head, tail, components, faces, pieces
 
 
 def _scrambled(rng: random.Random, lk0_closure) -> LinkDiagram:
@@ -93,12 +98,13 @@ def test_one_pass_matches_the_reference_on_every_built_diagram(built, lk0_closur
     assert len(diagrams) > 400
     assert any(d.markers for d in diagrams) and any(d.component_count == 1 for d in diagrams)
     for d in diagrams:
-        arcs, head, tail, components, faces = _reference(d)
+        arcs, head, tail, components, faces, pieces = _reference(d)
         assert d.arcs == arcs, d.serialize()
         assert {arc: d.head(arc) for arc in arcs} == head
         assert {arc: d.tail(arc) for arc in arcs} == tail
         assert d.components == components
         assert d.faces == faces
+        assert d.pieces() == pieces
 
 
 def test_derived_diagrams_share_untouched_crossings():
@@ -157,6 +163,15 @@ def test_signs_other_than_plus_or_minus_one_are_rejected():
         LinkDiagram(d.crossings, d.markers, {1: 0})  # crossing 2 is signed by propagation
 
 
+def test_signs_that_are_not_integers_are_rejected():
+    d = parse_pd(HOPF).mirror()  # the positive Hopf diagram
+    assert (d.sign(1), d.sign(2)) == (1, 1)
+    for signs, shown in (({1: True, 2: True}, "True"), ({1: 1.0, 2: 1}, "1.0")):
+        with pytest.raises(DiagramError) as err:
+            LinkDiagram(d.crossings, d.markers, signs)
+        assert str(err.value) == f"crossing 1 has sign {shown}, expected +1 or -1"
+
+
 def test_signs_for_unknown_crossings_are_rejected():
     d = parse_pd(HOPF)
     signs = {c.id: d.sign(c.id) for c in d.crossings}
@@ -175,9 +190,51 @@ def test_pieces_are_counted_once(monkeypatch, by_name):
     monkeypatch.setattr(diagram, "union", lambda *a: calls.append(a) or union(*a))
     assert d.pieces() == 2 and not d.connected() and not d.connected()
     assert calls == []  # parse_pd's planarity check counted them already
-    fresh = d.switch(1)
+    switched = d.switch(1)
+    assert switched.pieces() == 2 and switched.pieces() == 2
+    assert calls == []  # a switch keeps its parent's count
+    fresh = _built_afresh(switched)
     assert fresh.pieces() == 2 and fresh.pieces() == 2
-    assert len(calls) == len(fresh.arcs)
+    assert len(calls) == len(fresh.crossings)  # one union per crossing, of its strands' components
+
+
+def _built_afresh(d: LinkDiagram) -> LinkDiagram:
+    return LinkDiagram(d.crossings, d.markers, {c.id: d.sign(c.id) for c in d.crossings})
+
+
+def test_switch_derives_what_construction_builds(lk0_closure, corpus):
+    for d in _local_check_diagrams(lk0_closure, corpus):
+        for c in d.crossings:
+            switched = d.switch(c.id)
+            assert ("_pieces" in vars(switched)) == ("_pieces" in vars(d))  # a count is carried, not made
+            assert switched.components is d.components and "faces" not in vars(switched)
+            fresh = _built_afresh(switched)
+            assert switched.pieces() == fresh.pieces()
+            assert vars(switched) == vars(fresh), switched.serialize()
+
+
+def test_walked_loop_linking_matches_the_smoothing(built, lk0_closure, corpus_dir, corpus):
+    rng = random.Random(5151)
+    for _ in range(3):
+        d = _scrambled(rng, lk0_closure)
+        run_script(auto_script(d), d)
+        clear_memo()
+        conway(d)
+    for entry in corpus:
+        for script in load_entry(corpus_dir / entry.name).scripts:
+            run_script(script, entry.diagram)
+    clear_memo()
+    checked = 0
+    for d in [d for d in built if not d.lk0_violation]:
+        for c in d.crossings:
+            s, _ = d.strand_components(c.id)
+            if d.is_self_crossing(c.id):
+                smoothed = d.smooth(c.id)
+                t = smoothed.component_of(d.components[2 - s][0])  # the other component, by one of its arcs
+                loops = [k for k in range(1, smoothed.component_count + 1) if k != t]
+                assert smoothing_loop_linking(d, c.id) == tuple(smoothed.linking_number(k, t) for k in loops)
+                checked += 1
+    assert checked > 1000
 
 
 def _faces_with_corner(d, cid, longest):
@@ -193,6 +250,35 @@ def _local_check_diagrams(lk0_closure, corpus):
         face = next(f for f in d.faces if len({arc for arc, _ in f}) > 1)
         diagrams.append(add_r2(d, face[0][0], next(arc for arc, _ in face if arc != face[0][0]), True))
     return diagrams
+
+
+def _r2_sides_from_every_face(d, x, y):
+    for face in d.faces:
+        da_x = next((da for da in face if da[0] == x), None)
+        da_y = next((da for da in face if da[0] == y), None)
+        if da_x and da_y:
+            return da_x[1], da_y[1]
+    return None
+
+
+def test_r2_add_walks_the_face_the_full_list_picks_first(lk0_closure):
+    rng = random.Random(1357)
+    diagrams = [parse_pd(HOPF + " U[5]")] + [_scrambled(rng, lk0_closure) for _ in range(5)]
+    pairs = 0
+    for d in diagrams:
+        ids = sorted(d.arcs | set(d.markers)) + [d.fresh_arc_ids(1)[0]]
+        for x in ids:
+            assert d.faces_along(x) == [f for f in d.faces if x in {arc for arc, _ in f}]
+            for y in ids:
+                if x != y:
+                    want = _r2_sides_from_every_face(d, x, y)
+                    if want is None:
+                        with pytest.raises(MoveError, match=f"^arcs {x} and {y} do not cobound a face$"):
+                            _r2_sides(d, x, y)
+                    else:
+                        assert _r2_sides(d, x, y) == want
+                        pairs += 1
+    assert pairs > 500
 
 
 def test_faces_at_a_corner_are_the_global_faces_there(lk0_closure, corpus):
