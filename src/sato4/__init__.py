@@ -2,9 +2,10 @@
 
 Submodules:
 
-- ``diagram``: PD-code link diagrams, signs, smoothings, linking numbers.
+- ``diagram``: PD-code link diagrams, signs, smoothing pairs, linking numbers.
 - ``braids``: braid-word closures as PD diagrams.
-- ``conway``: Conway polynomial by skein recursion; integer beta oracle.
+- ``conway``: Conway polynomial by the Seifert determinant; its single
+  coefficients by a smoothing sum; integer beta oracle.
 - ``seifert``: Seifert matrices on the diagram's own Seifert surface;
   determinant route to the Conway polynomial.
 - ``rewrites``: Reidemeister moves as PD-level surgery.

@@ -1,26 +1,17 @@
-"""Conway polynomial by descending-diagram skein recursion, and single
+"""The Conway polynomial by the Seifert determinant, and single
 coefficients by a sum over smoothing sets.
 
-The recursion walks components in index order from the least arc of
-each; at the first crossing whose first passage goes under, it applies
-nabla(L+) - nabla(L-) = z nabla(L0).  Switch moves strictly toward a
-descending diagram and smoothing drops a crossing, so the recursion
-terminates; descending diagrams are split unlinks.
+``conway`` answers every connected diagram through the determinant
+route of ``sato4.seifert`` in polynomial time; a split diagram gives 0.
 
-Only recursive nodes are memoized, on the canonical encoding.  Leaves
-(a disconnected diagram, a crossingless diagram and a descending
-diagram) are answered before the key is built, since the key costs
-more than the answer.  The memo is the only shared state in the
-package: concurrent readers are fine, insertions are atomically
-published dict writes, and losing a race merely recomputes an
-identical value.
-
-``conway_coefficient`` unrolls the same skein with one basepoint held
-fixed into a signed sum over sets of k smoothings, in the shape of the
+``conway_coefficient`` unrolls the descending skein
+nabla(L+) - nabla(L-) = z nabla(L0) with one basepoint held fixed into
+a signed sum over sets of k smoothings, in the shape of the
 Gauss-diagram formulas of Chmutov, Khoury and Rossi ("Polyak-Viro
 formulas for coefficients of the Conway polynomial", JKTR 2009).  It
 runs in polynomial time for fixed k, so the Sato-Levine oracle uses it
-for z^3; the memoized skein stays as its independent cross-check.
+for z^3, and ``sato4 verify`` checks every coefficient of the
+determinant route against it.
 
 All coefficients are exact integers.
 """
@@ -28,31 +19,19 @@ All coefficients are exact integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import zip_longest
 
 from .diagram import LinkDiagram
 from .errors import DiagramError
 
-__all__ = ["ConwayPoly", "conway", "conway_coefficient", "sato_levine_oracle", "clear_memo"]
-
-
-# Integer polynomials as coefficient tuples: index = power, trailing zeros
-# trimmed.  ConwayPoly wraps one and does its arithmetic through these.
+__all__ = ["ConwayPoly", "conway", "conway_coefficient", "sato_levine_oracle"]
 
 
 def poly_trim(p) -> tuple[int, ...]:
+    """A coefficient sequence as a tuple with its trailing zeros dropped."""
     i = len(p)
     while i and p[i - 1] == 0:
         i -= 1
     return tuple(p[:i])
-
-
-def poly_add(p, q) -> tuple[int, ...]:
-    return poly_trim([a + b for a, b in zip_longest(p, q, fillvalue=0)])
-
-
-def poly_sub(p, q) -> tuple[int, ...]:
-    return poly_trim([a - b for a, b in zip_longest(p, q, fillvalue=0)])
 
 
 @dataclass(frozen=True)
@@ -82,21 +61,6 @@ class ConwayPoly:
             raise ValueError("powers of z are nonnegative")
         return self.coeffs[k] if k < len(self.coeffs) else 0
 
-    def shift(self, k: int) -> "ConwayPoly":
-        """Multiply by z^k."""
-        if self.is_zero():
-            return self
-        return ConwayPoly((0,) * k + self.coeffs)
-
-    def __add__(self, other: "ConwayPoly") -> "ConwayPoly":
-        return ConwayPoly(poly_add(self.coeffs, other.coeffs))
-
-    def __sub__(self, other: "ConwayPoly") -> "ConwayPoly":
-        return ConwayPoly(poly_sub(self.coeffs, other.coeffs))
-
-    def __neg__(self) -> "ConwayPoly":
-        return ConwayPoly(poly_sub((), self.coeffs))
-
     def as_list(self) -> list[int]:
         return list(self.coeffs)
 
@@ -104,49 +68,25 @@ class ConwayPoly:
         return str(self.as_list())
 
 
-_MEMO: dict[str, ConwayPoly] = {}
-
-
 def clear_memo() -> None:
-    _MEMO.clear()
+    """Does nothing: ``conway`` keeps no memo.
+
+    Kept only because the benchmark harness still calls it; it goes
+    when the harness stops calling it.
+    """
 
 
 def conway(d: LinkDiagram) -> ConwayPoly:
-    """The Conway polynomial of the oriented link presented by d."""
+    """The Conway polynomial of the oriented link presented by d.
+
+    A connected diagram is answered by the Seifert determinant; a
+    crossingless one has the 0 x 0 matrix, whose polynomial is 1.
+    """
+    from .seifert import conway_from_seifert, seifert_matrix  # seifert imports ConwayPoly from here
+
     if not d.connected():
         return ConwayPoly.zero()  # a split link, or no link at all
-    cid = _first_violation(d) if d.crossings else None
-    if cid is None:
-        # crossingless or descending diagram: an unknot, or a split unlink
-        return ConwayPoly.one() if d.component_count == 1 else ConwayPoly.zero()
-    key = d.canonical_encoding
-    hit = _MEMO.get(key)
-    if hit is not None:
-        return hit
-    value = _compute(d, cid)
-    _MEMO[key] = value
-    return value
-
-
-def _compute(d: LinkDiagram, cid: int) -> ConwayPoly:
-    """One skein step at the crossing ``cid`` that breaks descent."""
-    switched = conway(d.switch(cid))
-    smoothed = conway(d.smooth(cid)).shift(1)
-    return switched + smoothed if d.sign(cid) > 0 else switched - smoothed
-
-
-def _first_violation(d: LinkDiagram) -> int | None:
-    """First crossing (in walk order) whose first passage goes under."""
-    seen: set[int] = set()
-    for comp in d.components:
-        for arc in comp:
-            cid, slot = d.head(arc)
-            if cid in seen:
-                continue
-            seen.add(cid)
-            if slot == 0:
-                return cid
-    return None
+    return conway_from_seifert(seifert_matrix(d))
 
 
 def conway_coefficient(d: LinkDiagram, k: int) -> int:

@@ -13,8 +13,8 @@ so calibration normalizes s_cal = +1 and solves for the unique e_cal
 making the engine equal the oracle on every scripted fixture.
 
 ``verify_corpus`` merges three checks into each fixture's report entry,
-each writing its keys where they apply.  Polynomials (the skein against
-the Seifert route and the z^3 smoothing sum) writes ``components``,
+each writing its keys where they apply.  Polynomials (the Seifert route
+against the smoothing sum, every coefficient) writes ``components``,
 ``conway``, ``linking_number``, ``seifert_oracle_agrees``, ``oracle``
 and ``verdict``.  Movies (phi and beta_engine of each script's movie
 against the oracle) writes ``scripts`` and ``script_independent``.
@@ -30,11 +30,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .bundle import verify_gluing
-from .conway import conway, sato_levine_oracle
+from .conway import conway, conway_coefficient, sato_levine_oracle
 from .diagram import LinkDiagram, parse_pd, tokenize_pd
 from .errors import CalibrationError, CorpusError, GluingError, ScriptError
 from .movies import HomotopyScript, MovieResult, beta_engine, phi, run_script
-from .seifert import conway_from_seifert, seifert_matrix
 
 __all__ = [
     "CorpusEntry",
@@ -201,7 +200,7 @@ def load_calibration(root: Path) -> Calibration:
 
 
 def _check_polynomials(entry: CorpusEntry, s_cal: int) -> tuple[dict, list[str]]:
-    """The skein against the Seifert route and the z^3 smoothing sum; the verdict."""
+    """The Seifert route against the smoothing sum at every coefficient; the verdict."""
     d = entry.diagram
     nabla = conway(d)
     info: dict = {"components": entry.components, "conway": nabla.as_list()}
@@ -209,13 +208,15 @@ def _check_polynomials(entry: CorpusEntry, s_cal: int) -> tuple[dict, list[str]]
     if entry.components == 2:
         info["linking_number"] = d.linking_number(1, 2)
     if d.connected():
-        info["seifert_oracle_agrees"] = conway_from_seifert(seifert_matrix(d)) == nabla
+        info["seifert_oracle_agrees"] = all(
+            conway_coefficient(d, k) == nabla.coefficient(k) for k in range(len(nabla.coeffs) + 1)
+        )
         if not info["seifert_oracle_agrees"]:
-            failures.append(f"{entry.name}: Seifert-matrix Conway disagrees with skein")
+            failures.append(f"{entry.name}: Seifert-matrix Conway disagrees with smoothing sum")
     if d.lk0_violation is None:
         info["oracle"] = oracle = sato_levine_oracle(d, s_cal)
         if oracle != s_cal * nabla.coefficient(3):
-            failures.append(f"{entry.name}: z^3 smoothing sum disagrees with skein")
+            failures.append(f"{entry.name}: z^3 smoothing sum disagrees with Seifert route")
         info["verdict"] = "not slice" if oracle % 4 else ""
     return info, failures
 

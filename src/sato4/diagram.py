@@ -402,10 +402,6 @@ class LinkDiagram:
         (ui, uo), (oi, oo) = self.strands(cid)
         return [(ui, oo), (oi, uo)]
 
-    def smooth(self, cid: int) -> "LinkDiagram":
-        """Oriented smoothing at a crossing; component count changes by one."""
-        return self.rebuild(remove=(cid,), glue=self.smoothing_pairs(cid))
-
     def rebuild(
         self,
         remove: Iterable[int] = (),
@@ -556,8 +552,8 @@ class LinkDiagram:
         order-preserving renaming of the arcs and by any renaming of the
         markers, and the diagram can be read back from it.  It is not
         invariant under an arbitrary relabeling: moving a component's
-        least arc may change it.  A memo key, a visited set and a gluing
-        guard need only that equal keys mean the same diagram.
+        least arc may change it.  A visited set and a gluing guard need
+        only that equal keys mean the same diagram.
         """
         marker_set = set(self.markers)
         walk = [arc for cyc in self.components if cyc[0] not in marker_set for arc in cyc]

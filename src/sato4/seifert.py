@@ -91,8 +91,8 @@ def seifert_matrix(d: LinkDiagram) -> SeifertMatrix:
     - w_b(x) = -t when b's route on f(x) passes under x's fold;
     - w_b(x) = 0 otherwise.
 
-    The overall sign is the one the skein fixes on 2-component links,
-    whose matrices have odd size.
+    The overall sign is the one the skein relation fixes on 2-component
+    links, whose matrices have odd size.
     """
     if not d.connected():
         raise SeifertError("diagram is not connected; present a connected diagram of the link")

@@ -1,4 +1,9 @@
-"""Skein recursion, coefficients, and the integer oracle."""
+"""The Conway polynomial, its single coefficients, and the integer oracle.
+
+The full polynomial comes from the Seifert route; the test-local
+reference skein (``reference_skein``) is the independent check on it
+and on the smoothing sum.
+"""
 
 import random
 import time
@@ -7,20 +12,14 @@ import pytest
 
 from sato4.braids import braid_closure
 from sato4.cli import main
-from sato4.conway import (
-    _MEMO,
-    ConwayPoly,
-    _first_violation,
-    clear_memo,
-    conway,
-    conway_coefficient,
-    sato_levine_oracle,
-)
+from sato4.conway import ConwayPoly, conway, conway_coefficient, sato_levine_oracle
 from sato4.diagram import parse_pd
 from sato4.errors import DiagramError
 from sato4.movies import apply_move
 from sato4.search import auto_script, enumerate_moves
 from sato4.seifert import conway_from_seifert, seifert_matrix
+
+from reference_skein import skein_conway, smooth, sub, times_z
 
 TREFOIL = "PD[X[1,4,2,5],X[3,6,4,1],X[5,2,6,3]]"
 HOPF = "PD[X[4,1,3,2],X[2,3,1,4]]"
@@ -62,6 +61,7 @@ def test_coefficient_access():
     assert ConwayPoly.of([0, -1]).coefficient(1) == -1
     with pytest.raises(ValueError):
         p.coefficient(-1)
+    assert str(ConwayPoly.of([0, -2, 3, 0])) == "[0, -2, 3]"
 
 
 def test_skein_relation_at_every_crossing(corpus):
@@ -72,8 +72,8 @@ def test_skein_relation_at_every_crossing(corpus):
         for c in d.crossings:
             plus = d if d.sign(c.id) > 0 else d.switch(c.id)
             minus = plus.switch(c.id)
-            zero = plus.smooth(c.id)
-            assert conway(plus) - conway(minus) == conway(zero).shift(1), (
+            zero = smooth(plus, c.id)
+            assert sub(conway(plus).coeffs, conway(minus).coeffs) == times_z(conway(zero).coeffs), (
                 entry.name,
                 c.id,
             )
@@ -135,7 +135,7 @@ def test_oracle_trivial_values(by_name):
 
 
 def test_oracle_whitehead_frozen(by_name):
-    # regression: computed with this skein implementation and frozen
+    # regression: computed with the skein and frozen
     assert conway(by_name["whitehead"].diagram) == ConwayPoly.of([0, 0, 0, -1])
     assert sato_levine_oracle(by_name["whitehead"].diagram, 1) == -1
     assert sato_levine_oracle(by_name["whitehead_mirror"].diagram, 1) == 1
@@ -156,27 +156,11 @@ def test_mirror_negates_oracle(by_name):
 def test_borromean_conway_frozen():
     # all pairwise linking numbers vanish, so z^2 drops and the z^4
     # coefficient is the square of the triple linking; frozen from the
-    # skein oracle and cross-checked against the Seifert route
-    from sato4.seifert import conway_from_seifert, seifert_matrix
-
+    # skein and cross-checked against the Seifert route
     b = braid_closure([1, -2, 1, -2, 1, -2], 3)
     assert b.component_count == 3
     assert conway(b) == ConwayPoly.of([0, 0, 0, 0, 1])
-    assert conway_from_seifert(seifert_matrix(b)) == conway(b)
-
-
-def test_memo_is_safe_under_concurrent_use(corpus):
-    # the memo's contract: concurrent readers, atomically published
-    # insertions, idempotent recomputation
-    import concurrent.futures
-
-    clear_memo()
-    diagrams = [e.diagram for e in corpus] * 4
-    with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
-        results = list(pool.map(conway, diagrams))
-    clear_memo()
-    for d, got in zip(diagrams, results):
-        assert got == conway(d)
+    assert skein_conway(b) == conway(b)
 
 
 @pytest.mark.parametrize(
@@ -192,38 +176,19 @@ def test_memo_is_safe_under_concurrent_use(corpus):
     ],
 )
 def test_leaves_build_no_memo_key(text, value):
+    # the skein's leaves (split, crossingless, descending) need no key;
+    # conway() keys nothing at all
     d = parse_pd(text)
-    if d.crossings and d.connected():
-        assert _first_violation(d) is None
-    clear_memo()
     assert conway(d).as_list() == value
-    assert _MEMO == {}
+    assert skein_conway(d).as_list() == value
     assert "canonical_encoding" not in d.__dict__
-
-
-def test_recursive_nodes_are_memoized():
-    d = parse_pd(TREFOIL)
-    clear_memo()
-    conway(d)
-    assert _MEMO[d.__dict__["canonical_encoding"]] == ConwayPoly.of([1, 0, 1])
-    clear_memo()
-
-
-def test_conway_poly_arithmetic():
-    p = ConwayPoly.of([1, 2])
-    q = ConwayPoly.of([0, -2, 3])
-    assert (p + q).as_list() == [1, 0, 3]
-    assert (p - q).as_list() == [1, 4, -3]
-    assert p.shift(2).as_list() == [0, 0, 1, 2]
-    assert (p - p).is_zero()
-    assert str(q) == "[0, -2, 3]"
 
 
 # -- the z^k coefficient as a sum over smoothing sets ---------------------------
 
 
-def _assert_sum_matches_skein(d):
-    p = conway(d)
+def _assert_sum_matches_skein(d, memo=None):
+    p = skein_conway(d, memo)
     for k in range(len(p.coeffs) + 2):
         assert conway_coefficient(d, k) == p.coefficient(k), (k, d.serialize())
 
@@ -261,17 +226,15 @@ def test_smoothing_sum_matches_skein_on_built_diagrams(built, lk0_closure):
         d = lk0_closure(rng)
         for _ in range(3):
             d = apply_move(d, rng.choice(enumerate_moves(d, include_sc=False, include_adds=True)))
-        clear_memo()
-        conway(d)
+        skein_conway(d)
         auto_script(d, max_nodes=300)
-    clear_memo()
     diagrams = list(built)
     assert len(diagrams) > 500
     assert {d.component_count for d in diagrams} >= {1, 2, 3}
     assert any(d.markers for d in diagrams)
+    memo = {}
     for d in diagrams:
-        _assert_sum_matches_skein(d)
-    clear_memo()
+        _assert_sum_matches_skein(d, memo)
 
 
 def test_smoothing_sum_matches_skein_on_closures():
@@ -288,7 +251,6 @@ def test_smoothing_sum_matches_skein_on_closures():
             if d.component_count == components:
                 _assert_sum_matches_skein(d)
                 found += 1
-    clear_memo()
 
 
 def _relabel_cyclically(d, shift):
@@ -330,3 +292,18 @@ def test_cli_beta_60_crossings_matches_seifert_in_under_a_second(capsys):
     assert elapsed < 1.0, f"took {elapsed:.3f} s"
     z3 = conway_from_seifert(seifert_matrix(parse_pd(text))).coefficient(3)
     assert int(capsys.readouterr().out) == z3
+
+
+# a 6-strand closure of linking number 0, far past the reference skein
+WORD_40 = [
+    3, 1, 2, -3, -5, 2, -3, -2, 3, -5, 5, -2, 5, -1, 5, -1, 1, -5, 4, 2,
+    4, -1, 4, -3, 4, 5, 1, -5, 5, 3, 4, -4, -3, 1, -2, -4, 2, -3, 1, 3,
+]
+
+
+def test_cli_conway_40_crossings_matches_the_smoothing_sum(capsys):
+    d = braid_closure(WORD_40, 6)
+    assert len(d.crossings) == 40 and d.lk0_violation is None
+    assert main(["conway", d.serialize()]) == 0
+    assert capsys.readouterr().out == "[0, 0, 0, -1, 0, -1]\n"
+    assert [conway_coefficient(d, k) for k in range(7)] == [0, 0, 0, -1, 0, -1, 0]

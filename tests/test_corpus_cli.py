@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import sato4.conway
+import sato4.corpus
 from sato4.cli import main
 from sato4.corpus import (
     Calibration,
@@ -120,7 +121,7 @@ def test_verify_corpus_ok(corpus_dir):
     assert report["fixtures"]["unlink2"]["gluing_note"] == "self-pair only"
 
 
-def test_verify_flags_smoothing_sum_disagreeing_with_skein(corpus_dir, corpus, monkeypatch):
+def test_verify_flags_smoothing_sum_disagreeing_with_seifert_route(corpus_dir, corpus, monkeypatch):
     real = sato4.conway.conway_coefficient
     monkeypatch.setattr(sato4.conway, "conway_coefficient", lambda d, k: real(d, k) + 1)
     report = verify_corpus(corpus_dir)
@@ -128,7 +129,21 @@ def test_verify_flags_smoothing_sum_disagreeing_with_skein(corpus_dir, corpus, m
     lk0 = [e.name for e in corpus if e.diagram.lk0_violation is None]
     assert "whitehead" in lk0
     for name in lk0:
-        assert f"{name}: z^3 smoothing sum disagrees with skein" in report["failures"]
+        assert f"{name}: z^3 smoothing sum disagrees with Seifert route" in report["failures"]
+
+
+def test_verify_checks_every_coefficient_against_the_smoothing_sum(corpus_dir, corpus, monkeypatch):
+    # off at z^1 only, so the z^3 oracle still agrees
+    real = sato4.corpus.conway_coefficient
+    monkeypatch.setattr(sato4.corpus, "conway_coefficient", lambda d, k: real(d, k) + (k == 1))
+    report = verify_corpus(corpus_dir)
+    assert report["ok"] is False
+    connected = [e.name for e in corpus if e.diagram.connected()]
+    assert {"hopf", "whitehead", "double_clasp"} <= set(connected)
+    for name in connected:
+        assert report["fixtures"][name]["seifert_oracle_agrees"] is False
+        assert f"{name}: Seifert-matrix Conway disagrees with smoothing sum" in report["failures"]
+    assert not any("z^3" in failure for failure in report["failures"])
 
 
 def test_verify_is_deterministic(corpus_dir):

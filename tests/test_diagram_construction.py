@@ -11,13 +11,14 @@ import random
 
 import pytest
 
-from sato4.conway import clear_memo, conway
 from sato4.corpus import load_entry
 from sato4.diagram import Crossing, LinkDiagram, parse_pd, union
 from sato4.errors import DiagramError, MoveError
 from sato4.movies import run_script, smoothing_loop_linking
 from sato4.rewrites import _bigons, _r2_sides, _slidable_triangles, add_r2, bigon_arcs, remove_r2
 from sato4.search import apply_move, auto_script, enumerate_moves
+
+from reference_skein import skein_conway, smooth
 
 HOPF = "PD[X[4,1,3,2],X[2,3,1,4]]"
 UNLINK_R2 = "PD[X[2,3,4,1], X[4,3,2,1]]"  # braid_closure([1, -1], 2): strand 1 passes over twice
@@ -85,15 +86,12 @@ def test_one_pass_matches_the_reference_on_every_built_diagram(built, lk0_closur
         d = _scrambled(rng, lk0_closure)
         script = auto_script(d)
         run_script(script, d)
-        clear_memo()
-        conway(d)
+        skein_conway(d)
     for entry in corpus:
         d = parse_pd(entry.diagram.serialize())
-        clear_memo()
-        conway(d)
+        skein_conway(d)
         for script in load_entry(corpus_dir / entry.name).scripts:
             run_script(script, d)
-    clear_memo()
     diagrams = list(built)
     assert len(diagrams) > 400
     assert any(d.markers for d in diagrams) and any(d.component_count == 1 for d in diagrams)
@@ -218,18 +216,16 @@ def test_walked_loop_linking_matches_the_smoothing(built, lk0_closure, corpus_di
     for _ in range(3):
         d = _scrambled(rng, lk0_closure)
         run_script(auto_script(d), d)
-        clear_memo()
-        conway(d)
+        skein_conway(d)
     for entry in corpus:
         for script in load_entry(corpus_dir / entry.name).scripts:
             run_script(script, entry.diagram)
-    clear_memo()
     checked = 0
     for d in [d for d in built if not d.lk0_violation]:
         for c in d.crossings:
             s, _ = d.strand_components(c.id)
             if d.is_self_crossing(c.id):
-                smoothed = d.smooth(c.id)
+                smoothed = smooth(d, c.id)
                 t = smoothed.component_of(d.components[2 - s][0])  # the other component, by one of its arcs
                 loops = [k for k in range(1, smoothed.component_count + 1) if k != t]
                 assert smoothing_loop_linking(d, c.id) == tuple(smoothed.linking_number(k, t) for k in loops)

@@ -17,7 +17,8 @@ from sato4.conway import conway
 from sato4.diagram import parse_pd
 from sato4.errors import Sato4Error
 from sato4.movies import _FIELDS, HomotopyScript, phi, run_script
-from sato4.seifert import conway_from_seifert, seifert_matrix
+
+from reference_skein import skein_conway
 
 
 def _quiet_main(argv) -> int:
@@ -50,7 +51,7 @@ def test_random_codes_give_a_value_or_a_typed_error(text):
     if d is not None:
         assert len(d.faces) == len(d.crossings) + 2 * d.pieces()
         if d.connected():
-            assert conway_from_seifert(seifert_matrix(d)) == conway(d)
+            assert conway(d) == skein_conway(d)
     for command in ("conway", "lk", "beta"):
         code = _quiet_main([command, text])
         assert code in (0, 1, 2)
