@@ -8,7 +8,9 @@ diagonal intersection form with one +/-1 torus class per disc double
 point, the restriction of w2 to each torus class, and p1 = 0 by
 flatness.  The Pontryagin square of the w2 vector against the diagonal
 form is then an exact sum, and the gluing identity plus the
-realizability constraint become machine checks.
+realizability constraint become machine checks.  Realizability is the
+Dold-Whitney condition that the square equal p1 mod 4; with p1 = 0 it
+is the one test that the square vanishes.
 """
 
 from __future__ import annotations
@@ -158,10 +160,6 @@ class XLambdaModel:
         return sum(1 for _, d in self.records if d == -1)
 
     @property
-    def b2(self) -> int:
-        return len(self.records)
-
-    @property
     def w2_vector(self) -> tuple[int, ...]:
         return tuple(w for w, _ in self.records)
 
@@ -225,20 +223,18 @@ class GluingReport:
     pontryagin: int        # Z/4 values as residues 0..3
     delta_phi: int
     identity_ok: bool      # pontryagin square equals phi1 - phi2
-    vanishing_ok: bool     # ... and is zero, p1 being zero by flatness
-    realizable_ok: bool    # the zero class with this w2 vector is realizable
+    realizable_ok: bool    # a flat bundle (p1 = 0) with this w2 vector exists
     model: XLambdaModel
 
     @property
     def passed(self) -> bool:
-        return self.identity_ok and self.vanishing_ok and self.realizable_ok
+        return self.identity_ok and self.realizable_ok
 
     def to_json(self) -> dict:
         return {
             "pontryagin_square": self.pontryagin,
             "delta_phi": self.delta_phi,
             "identity_ok": self.identity_ok,
-            "vanishing_ok": self.vanishing_ok,
             "realizable_ok": self.realizable_ok,
             "model": self.model.to_json(),
             "passed": self.passed,
@@ -254,7 +250,6 @@ def verify_gluing(m1: MovieResult, m2: MovieResult, e_cal: int = 1) -> GluingRep
         pontryagin=p,
         delta_phi=delta,
         identity_ok=p == delta,
-        vanishing_ok=p == 0,
         realizable_ok=dold_whitney_realizable(0, model.w2_vector, model.form),
         model=model,
     )

@@ -18,54 +18,11 @@ All coefficients are exact integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .diagram import LinkDiagram
 from .errors import DiagramError
+from .seifert import ConwayPoly, conway_from_seifert, seifert_matrix
 
 __all__ = ["ConwayPoly", "conway", "conway_coefficient", "sato_levine_oracle"]
-
-
-def poly_trim(p) -> tuple[int, ...]:
-    """A coefficient sequence as a tuple with its trailing zeros dropped."""
-    i = len(p)
-    while i and p[i - 1] == 0:
-        i -= 1
-    return tuple(p[:i])
-
-
-@dataclass(frozen=True)
-class ConwayPoly:
-    """Integer polynomial in z; index = power, trailing zeros trimmed."""
-
-    coeffs: tuple[int, ...] = ()
-
-    @staticmethod
-    def of(seq) -> "ConwayPoly":
-        return ConwayPoly(poly_trim(list(seq)))
-
-    @staticmethod
-    def zero() -> "ConwayPoly":
-        return ConwayPoly(())
-
-    @staticmethod
-    def one() -> "ConwayPoly":
-        return ConwayPoly((1,))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coefficient(self, k: int) -> int:
-        """The z^k coefficient, 0 beyond the stored sequence."""
-        if k < 0:
-            raise ValueError("powers of z are nonnegative")
-        return self.coeffs[k] if k < len(self.coeffs) else 0
-
-    def as_list(self) -> list[int]:
-        return list(self.coeffs)
-
-    def __str__(self) -> str:
-        return str(self.as_list())
 
 
 def clear_memo() -> None:
@@ -82,8 +39,6 @@ def conway(d: LinkDiagram) -> ConwayPoly:
     A connected diagram is answered by the Seifert determinant; a
     crossingless one has the 0 x 0 matrix, whose polynomial is 1.
     """
-    from .seifert import conway_from_seifert, seifert_matrix  # seifert imports ConwayPoly from here
-
     if not d.connected():
         return ConwayPoly.zero()  # a split link, or no link at all
     return conway_from_seifert(seifert_matrix(d))

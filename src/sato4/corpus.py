@@ -54,12 +54,10 @@ CALIBRATION_VERSION = 1
 
 @dataclass(frozen=True)
 class CorpusEntry:
-    """One fixture: a named diagram with declared invariants and scripts."""
+    """One fixture: a named diagram, checked against its declared invariants, and scripts."""
 
     name: str
     diagram: LinkDiagram
-    components: int
-    linking_number: int | None
     scripts: tuple[HomotopyScript, ...]
 
 
@@ -130,13 +128,7 @@ def load_entry(path: Path) -> CorpusEntry:
             if quads != [c.arcs for c in diagram.crossings] or sorted(markers) != list(diagram.markers):
                 raise CorpusError(f"{path.name}/{f.name}: the script does not start from link.pd")
             scripts.append(script)
-    return CorpusEntry(
-        name=path.name,
-        diagram=diagram,
-        components=components,
-        linking_number=lk,
-        scripts=tuple(scripts),
-    )
+    return CorpusEntry(name=path.name, diagram=diagram, scripts=tuple(scripts))
 
 
 def load_corpus(root: Path) -> list[CorpusEntry]:
@@ -203,9 +195,9 @@ def _check_polynomials(entry: CorpusEntry, s_cal: int) -> tuple[dict, list[str]]
     """The Seifert route against the smoothing sum at every coefficient; the verdict."""
     d = entry.diagram
     nabla = conway(d)
-    info: dict = {"components": entry.components, "conway": nabla.as_list()}
+    info: dict = {"components": d.component_count, "conway": nabla.as_list()}
     failures = []
-    if entry.components == 2:
+    if d.component_count == 2:
         info["linking_number"] = d.linking_number(1, 2)
     if d.connected():
         info["seifert_oracle_agrees"] = all(

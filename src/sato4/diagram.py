@@ -20,11 +20,11 @@ the signs of the crossings they keep.  Construction reads the template
 in one pass over the crossings, writing each arc's head, tail and
 successor; a table of each arc's two ends is built only to sign parsed
 codes and to name the arc in an error message.  A crossing switch is
-the one derived diagram that skips this: it keeps its parent's arcs,
-components and piece count, shares every other ``Crossing``, and
-rewrites only the switched crossing's slots and sign and the head and
-tail of its four arcs.  Pieces are counted over components: one union
-per crossing, of the components of its two strands.
+the one derived diagram that skips this: it keeps its parent's arcs and
+components, shares every other ``Crossing``, and rewrites only the
+switched crossing's slots and sign and the head and tail of its four
+arcs.  Pieces are counted over components when first asked for: one
+union per crossing, of the components of its two strands.
 
 Diagrams are immutable values; every operation returns a new diagram.
 """
@@ -366,9 +366,9 @@ class LinkDiagram:
 
         Arcs, orientations and all other crossings are untouched, and the
         sign of the crossing is negated.  The result is derived from this
-        diagram without a rebuild: it shares the components, the piece
-        count and every other ``Crossing``, and rewrites only this
-        crossing's slots and sign and the ends of its four arcs.
+        diagram without a rebuild: it shares the components and every
+        other ``Crossing``, and rewrites only this crossing's slots and
+        sign and the ends of its four arcs.
         """
         under, over = self.strands(cid)
         sign = -self._sign[cid]
@@ -387,8 +387,6 @@ class LinkDiagram:
             head[b], tail[f] = (cid, 1), (cid, 3)
         # each strand still runs from its in arc to its out arc, so the successor cycles stand
         out.components, out._component_of = self.components, self._component_of
-        if "_pieces" in vars(self):
-            out._pieces = self._pieces
         return out
 
     def mirror(self) -> "LinkDiagram":
@@ -493,13 +491,6 @@ class LinkDiagram:
         found = {self._face_from(start, step, longest) for start, _ in self._turns(self._by_id[cid])}
         found.discard(None)
         return sorted(found)
-
-    def faces_along(self, arc: int) -> list[tuple[tuple[int, bool], ...]]:
-        """The ``faces`` on the two sides of ``arc`` (one if both sides are one face), walked alone."""
-        if arc not in self._head:
-            return []
-        step: dict = {}
-        return sorted({self._face_from((arc, fwd), step, 2 * len(self._head)) for fwd in (True, False)})
 
     def _face_from(self, start: tuple[int, bool], step: dict, longest: int):
         """The face through directed arc ``start`` as ``faces`` has it, or None past ``longest`` sides.

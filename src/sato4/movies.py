@@ -102,13 +102,14 @@ class SelfIntersectionRecord:
     component: int
     eps: int
     lam: int
-    w: int
 
     def __post_init__(self):
         if self.eps not in (1, -1):
             raise MoveError("record sign must be +1 or -1")
-        if self.w != self.lam % 2 or self.w not in (0, 1):
-            raise MoveError("record weight must be the loop linking mod 2")
+
+    @property
+    def w(self) -> int:
+        return self.lam % 2
 
     def to_json(self) -> dict:
         return {"component": self.component, "eps": self.eps, "lambda": self.lam, "w": self.w}
@@ -242,7 +243,7 @@ def record_self_crossing_change(
         raise MoveError("smoothing loops do not balance; inconsistent diagram")
     eps = d.sign(cid)
     s = d.strand_components(cid)[0]
-    record = SelfIntersectionRecord(component=s, eps=eps, lam=lam, w=lam % 2)
+    record = SelfIntersectionRecord(component=s, eps=eps, lam=lam)
     return d.switch(cid), record
 
 

@@ -5,12 +5,15 @@ for R1 removal, non-clasp bigon for R2 removal, over/over-under/under
 triangle for R3), so every accepted rewrite is a genuine planar move on
 honestly planar codes.
 
+Both site rules read one level pattern (``_over_ends``): for each arc
+of the site, how many of its two ends pass over.  A bigon reduces when
+the pattern is [0, 2], a triangle slides when it is [0, 1, 2].
+
 ``remove_r2`` and ``slide_r3`` check their site locally: they walk only
 the faces at one named crossing (``LinkDiagram.faces_at``) and take the
 first that fits in ``faces`` order, the face that listing every site with
 ``bigon_arcs`` or ``find_triangles`` (as the search does) would pick.
-``add_r2`` likewise walks only the faces on the two sides of its first
-arc (``LinkDiagram.faces_along``).
+``add_r2`` takes the first face of ``faces`` that both its arcs bound.
 
 Crossings are built by :func:`sato4.diagram.make_crossing`.
 """
@@ -115,14 +118,11 @@ def add_r2(d: LinkDiagram, x: int, y: int, x_over: bool) -> LinkDiagram:
 
 
 def _r2_sides(d: LinkDiagram, x: int, y: int) -> tuple[bool, bool]:
-    """The directions in which the first face of ``faces`` that both arcs bound runs along x and y.
-
-    Only the faces on the two sides of x can be that face, so only they are walked.
-    """
-    for face in d.faces_along(x):
-        dy = next((fwd for arc, fwd in face if arc == y), None)
-        if dy is not None:
-            return next(fwd for arc, fwd in face if arc == x), dy
+    """The directions in which the first face of ``faces`` that both arcs bound runs along x and y."""
+    for face in d.faces:
+        arcs = [arc for arc, _ in face]
+        if x in arcs and y in arcs:
+            return face[arcs.index(x)][1], face[arcs.index(y)][1]
     raise MoveError(f"arcs {x} and {y} do not cobound a face")
 
 
@@ -141,14 +141,14 @@ def _bigons(d: LinkDiagram, faces) -> dict[tuple[int, int], tuple[int, int]]:
     return out
 
 
+def _over_ends(d: LinkDiagram, arcs) -> list[int]:
+    """For each arc of a site, how many of its two ends pass over (odd slots), sorted."""
+    return sorted(d.head(arc)[1] % 2 + d.tail(arc)[1] % 2 for arc in arcs)
+
+
 def is_clasp(d: LinkDiagram, bigon: tuple[int, int]) -> bool:
     """Whether a bigon's arcs fail to run one over and one under at both corners."""
-
-    def levels(arc: int) -> set[bool]:
-        return {slot % 2 == 1 for _, slot in (d.head(arc), d.tail(arc))}
-
-    lv1, lv2 = levels(bigon[0]), levels(bigon[1])
-    return not (len(lv1) == 1 and len(lv2) == 1 and lv1 != lv2)
+    return _over_ends(d, bigon) != [0, 2]
 
 
 def remove_r2(d: LinkDiagram, cid1: int, cid2: int) -> LinkDiagram:
@@ -185,7 +185,7 @@ def _slidable_triangles(d: LinkDiagram, faces) -> dict[tuple[int, int, int], tup
     for f in faces:
         if len(f) == 3 and len({arc for arc, _ in f}) == 3:
             corners = tuple(sorted(d.corner(da)[0] for da in f))
-            if len(set(corners)) == 3 and _r3_pattern_ok(d, f):
+            if len(set(corners)) == 3 and _over_ends(d, (arc for arc, _ in f)) == [0, 1, 2]:
                 out.setdefault(corners, f)
     return out
 
@@ -197,11 +197,6 @@ def _passages(d: LinkDiagram, face):
     (arrival slot).
     """
     return [(d.corner((arc, not fwd)), d.corner((arc, fwd))) for arc, fwd in face]
-
-
-def _r3_pattern_ok(d: LinkDiagram, face) -> bool:
-    # how many of the two ends of each side pass over
-    return sorted(s1 % 2 + s2 % 2 for (_, s1), (_, s2) in _passages(d, face)) == [0, 1, 2]
 
 
 def slide_r3(d: LinkDiagram, cids: tuple[int, int, int]) -> LinkDiagram:

@@ -12,7 +12,8 @@ z = x - x^{-1}.  With u = x^2 it is P(u) / x^n for the integer
 polynomial P(u) = det(u V - V^T).  P is found exactly from one integer
 determinant (fraction-free Bareiss elimination) at u = 2^B, with B
 chosen from Hadamard's bound on P over the unit circle so that the
-coefficients are the value's balanced base-2^B digits.
+coefficients are the value's balanced base-2^B digits.  They come back
+as a ``ConwayPoly``, which ``sato4.conway`` re-exports.
 """
 
 from __future__ import annotations
@@ -21,16 +22,46 @@ from collections import deque
 from dataclasses import dataclass
 from math import comb, isqrt, prod
 
-from .conway import ConwayPoly
 from .diagram import LinkDiagram, orbits
 from .errors import SeifertError
 
 __all__ = [
+    "ConwayPoly",
     "SeifertMatrix",
     "seifert_circles",
     "seifert_matrix",
     "conway_from_seifert",
 ]
+
+
+@dataclass(frozen=True)
+class ConwayPoly:
+    """Integer polynomial in z; index = power, trailing zeros trimmed."""
+
+    coeffs: tuple[int, ...] = ()
+
+    @staticmethod
+    def of(seq) -> "ConwayPoly":
+        coeffs = list(seq)
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        return ConwayPoly(tuple(coeffs))
+
+    @staticmethod
+    def zero() -> "ConwayPoly":
+        return ConwayPoly(())
+
+    def coefficient(self, k: int) -> int:
+        """The z^k coefficient, 0 beyond the stored sequence."""
+        if k < 0:
+            raise ValueError("powers of z are nonnegative")
+        return self.coeffs[k] if k < len(self.coeffs) else 0
+
+    def as_list(self) -> list[int]:
+        return list(self.coeffs)
+
+    def __str__(self) -> str:
+        return str(self.as_list())
 
 
 @dataclass(frozen=True)

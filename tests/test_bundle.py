@@ -37,7 +37,7 @@ def _movie(records, encoding="enc"):
 
 
 def _rec(eps, lam, component=1):
-    return SelfIntersectionRecord(component=component, eps=eps, lam=lam, w=lam % 2)
+    return SelfIntersectionRecord(component=component, eps=eps, lam=lam)
 
 
 # -- V4 ------------------------------------------------------------------------
@@ -183,7 +183,7 @@ def test_glue_requires_same_link():
 
 def test_glue_two_empty_movies():
     model = glue_movies(_movie([]), _movie([]))
-    assert model.b2 == 0
+    assert len(model.records) == 0
     assert model.n_plus == model.n_minus == 0
 
 
@@ -191,14 +191,14 @@ def test_self_glue_is_symmetric():
     m = _movie([_rec(1, 1), _rec(-1, 2), _rec(1, 0)])
     model = glue_movies(m, m)
     assert model.n_plus == model.n_minus
-    assert model.b2 == 6
+    assert len(model.records) == 6
 
 
 def test_glue_shipped_whitehead_scripts(by_name, shipped_calibration):
     entry = by_name["whitehead"]
     movies = [run_script(s) for s in entry.scripts]
     model = glue_movies(movies[0], movies[1], shipped_calibration.e_cal)
-    assert model.b2 == 4
+    assert len(model.records) == 4
     json_model = model.to_json()
     assert json_model["p1"] == 0
     assert len(json_model["records"]) == 4
@@ -226,8 +226,8 @@ def test_verify_gluing_on_shipped_pairs(corpus, shipped_calibration):
         for m1, m2 in pairs:
             report = verify_gluing(m1, m2, shipped_calibration.e_cal)
             assert report.identity_ok
-            assert report.vanishing_ok
             assert report.realizable_ok
+            assert report.passed
 
 
 def test_corrupted_weight_detected(by_name, shipped_calibration):
@@ -242,7 +242,8 @@ def test_corrupted_weight_detected(by_name, shipped_calibration):
     )
     report = verify_gluing(corrupted, other, shipped_calibration.e_cal)
     assert report.identity_ok  # the arithmetic identity is structural
-    assert not report.vanishing_ok
+    assert not report.realizable_ok
+    assert not report.passed
 
 
 def test_corrupted_sign_detected(by_name, shipped_calibration):
@@ -256,7 +257,8 @@ def test_corrupted_sign_detected(by_name, shipped_calibration):
         initial_encoding=good.initial_encoding,
     )
     report = verify_gluing(corrupted, other, shipped_calibration.e_cal)
-    assert not report.vanishing_ok
+    assert not report.realizable_ok
+    assert not report.passed
 
 
 def test_phi_delta_matches_pontryagin_generically():

@@ -27,11 +27,12 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 BROKEN_MOVE = "move 2 (r2_remove) failed: crossings 1,5 do not cobound a bigon"
 
 
-def test_corpus_loads_with_declared_invariants(corpus):
+def test_corpus_loads_with_declared_invariants(corpus, corpus_dir):
     names = {e.name for e in corpus}
     assert {"whitehead", "whitehead_mirror", "hopf", "unlink2", "trefoil"} <= names
     for entry in corpus:
-        assert entry.diagram.component_count == entry.components
+        meta = json.loads((corpus_dir / entry.name / "meta.json").read_text())
+        assert entry.diagram.component_count == meta["components"]
 
 
 def test_corpus_rejects_wrong_declaration(tmp_path, corpus_dir):

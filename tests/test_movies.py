@@ -116,7 +116,7 @@ def test_lambda_well_defined_from_either_loop(corpus):
     # movie, not just at the initial diagrams
     checked = 0
     for entry in corpus:
-        if entry.components != 2 or entry.linking_number != 0:
+        if entry.diagram.lk0_violation:
             continue
         for c in entry.diagram.crossings:
             if entry.diagram.is_self_crossing(c.id):
@@ -184,10 +184,10 @@ def test_stray_kink_pair_leaves_records_unchanged(by_name):
 
 def test_phi_depends_only_on_record_multiset():
     recs = (
-        SelfIntersectionRecord(1, 1, 3, 1),
-        SelfIntersectionRecord(2, -1, 0, 0),
-        SelfIntersectionRecord(1, -1, -1, 1),
-        SelfIntersectionRecord(2, 1, 2, 0),
+        SelfIntersectionRecord(1, 1, 3),
+        SelfIntersectionRecord(2, -1, 0),
+        SelfIntersectionRecord(1, -1, -1),
+        SelfIntersectionRecord(2, 1, 2),
     )
     results = set()
     for perm in itertools.permutations(recs):
@@ -208,8 +208,7 @@ def test_beta_congruent_phi_mod_4():
             SelfIntersectionRecord(
                 component=rng.choice([1, 2]),
                 eps=rng.choice([1, -1]),
-                lam=(lam := rng.randrange(-5, 6)),
-                w=lam % 2,
+                lam=rng.randrange(-5, 6),
             )
             for _ in range(rng.randrange(0, 7))
         )
@@ -234,9 +233,10 @@ def test_linking_preserved_along_shipped_scripts(corpus):
 
 def test_record_invariants_enforced():
     with pytest.raises(MoveError):
-        SelfIntersectionRecord(1, 1, 2, 1)
-    with pytest.raises(MoveError):
-        SelfIntersectionRecord(1, 0, 1, 1)
+        SelfIntersectionRecord(1, 0, 1)
+    # the weight is the loop linking mod 2, derived rather than stored
+    assert [SelfIntersectionRecord(1, 1, lam).w for lam in (-3, -2, 0, 1, 2)] == [1, 0, 0, 1, 0]
+    assert SelfIntersectionRecord(2, -1, -3).to_json() == {"component": 2, "eps": -1, "lambda": -3, "w": 1}
 
 
 def test_r3_rejects_cyclically_braided_triangle():

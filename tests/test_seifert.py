@@ -34,7 +34,7 @@ def test_empty_matrix_from_unknot_marker():
 
 
 def test_conway_from_empty_matrix():
-    assert conway_from_seifert(SeifertMatrix(())) == ConwayPoly.one()
+    assert conway_from_seifert(SeifertMatrix(())) == ConwayPoly.of([1])
 
 
 def test_conway_from_one_by_one():
@@ -222,7 +222,7 @@ def _antisymmetric_det(V: SeifertMatrix) -> int:
 def test_v_minus_vt_unimodular_for_knots(corpus):
     for entry in corpus:
         d = entry.diagram
-        if entry.components != 1 or not d.connected():
+        if d.component_count != 1 or not d.connected():
             continue
         assert abs(_antisymmetric_det(seifert_matrix(d))) == 1, entry.name
 
