@@ -2,7 +2,8 @@
 
 Submodules:
 
-- ``diagram``: PD-code link diagrams, signs, smoothing pairs, linking numbers.
+- ``diagram``: PD-code link diagrams, signs found by walking strands,
+  smoothing pairs, linking numbers, crossing switches.
 - ``braids``: braid-word closures as PD diagrams.
 - ``conway``: Conway polynomial by the Seifert determinant; its single
   coefficients by a smoothing sum; integer beta oracle.
@@ -12,8 +13,8 @@ Submodules:
 - ``movies``: validated move scripts ending at the 2-component unlink,
   self-intersection records, phi and the integer engine invariant.
 - ``search``: best-effort search for unlinking scripts.
-- ``bundle``: Klein four-group, torus w2 lemma, glued 4-manifold models,
-  Pontryagin squares, realizability and gluing checks.
+- ``bundle``: glued 4-manifold models, Pontryagin squares, realizability
+  and gluing checks; w2 on each torus class is the record's lambda mod 2.
 - ``corpus``: fixture corpus loading and sign calibration.
 - ``cli``: the ``sato4`` command line front end.
 

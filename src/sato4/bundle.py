@@ -1,16 +1,16 @@
 """Flat SO(3)-bundle bookkeeping over the glued 4-manifold model.
 
-Everything the obstruction proof consumes is finite data: the Klein
-four-group as diagonal matrices, representations of a torus group into
-it, the rank-2 second cohomology of the torus, and an abstract model of
-the surgered manifold built from two movies of the same link - a
-diagonal intersection form with one +/-1 torus class per disc double
+Everything the obstruction proof consumes is finite data: an abstract
+model of the surgered manifold built from two movies of the same link -
+a diagonal intersection form with one +/-1 torus class per disc double
 point, the restriction of w2 to each torus class, and p1 = 0 by
-flatness.  The Pontryagin square of the w2 vector against the diagonal
-form is then an exact sum, and the gluing identity plus the
-realizability constraint become machine checks.  Realizability is the
-Dold-Whitney condition that the square equal p1 mod 4; with p1 = 0 it
-is the one test that the square vanishes.
+flatness.  Each class's w2 is its record's w = lambda mod 2, which the
+flat-torus lemma of the paper justifies; the lemma itself is checked by
+the tests, not here.  The Pontryagin square of the w2 vector against
+the diagonal form is then an exact sum, and the gluing identity plus
+the realizability constraint become machine checks.  Realizability is
+the Dold-Whitney condition that the square equal p1 mod 4; with p1 = 0
+it is the one test that the square vanishes.
 """
 
 from __future__ import annotations
@@ -22,12 +22,6 @@ from .errors import GluingError
 from .movies import MovieResult, phi
 
 __all__ = [
-    "V4Element",
-    "V4",
-    "TorusRep",
-    "TorusClass",
-    "torus_w2_cup",
-    "torus_w2_surjectivity",
     "XLambdaModel",
     "glue_movies",
     "pontryagin_square",
@@ -35,103 +29,6 @@ __all__ = [
     "GluingReport",
     "verify_gluing",
 ]
-
-
-@dataclass(frozen=True)
-class V4Element:
-    """A diagonal +/-1 matrix of determinant +1."""
-
-    diag: tuple[int, int, int]
-
-    def __post_init__(self):
-        if any(x not in (1, -1) for x in self.diag) or self.diag[0] * self.diag[1] * self.diag[2] != 1:
-            raise ValueError(f"not a determinant-one diagonal sign matrix: {self.diag}")
-
-    def __mul__(self, other: "V4Element") -> "V4Element":
-        return V4Element(tuple(a * b for a, b in zip(self.diag, other.diag)))
-
-    @property
-    def name(self) -> str:
-        return {(1, 1, 1): "e", (1, -1, -1): "x1", (-1, 1, -1): "x2", (-1, -1, 1): "x3"}[self.diag]
-
-    def __repr__(self) -> str:
-        return f"V4Element({self.name})"
-
-
-class V4:
-    """The four elements, closed under multiplication."""
-
-    E = V4Element((1, 1, 1))
-    X1 = V4Element((1, -1, -1))
-    X2 = V4Element((-1, 1, -1))
-    X3 = V4Element((-1, -1, 1))
-    ALL = (E, X1, X2, X3)
-
-
-@dataclass(frozen=True)
-class TorusRep:
-    """Images of the two torus fundamental-group generators; any pair works."""
-
-    a: V4Element
-    b: V4Element
-
-
-@dataclass(frozen=True)
-class TorusClass:
-    """Mod-2 cohomology of the torus on the basis {1, abar, bbar, abar^bbar}."""
-
-    bits: tuple[int, int, int, int]
-
-    def __post_init__(self):
-        if any(x not in (0, 1) for x in self.bits):
-            raise ValueError("cohomology coordinates are bits")
-
-    @staticmethod
-    def one() -> "TorusClass":
-        return TorusClass((1, 0, 0, 0))
-
-    @staticmethod
-    def degree_one(ca: int, cb: int) -> "TorusClass":
-        return TorusClass((0, ca % 2, cb % 2, 0))
-
-    def __add__(self, other: "TorusClass") -> "TorusClass":
-        return TorusClass(tuple((x + y) % 2 for x, y in zip(self.bits, other.bits)))
-
-    def cup(self, other: "TorusClass") -> "TorusClass":
-        x0, xa, xb, xt = self.bits
-        y0, ya, yb, yt = other.bits
-        return TorusClass(
-            (
-                (x0 * y0) % 2,
-                (x0 * ya + xa * y0) % 2,
-                (x0 * yb + xb * y0) % 2,
-                (x0 * yt + xt * y0 + xa * yb + xb * ya) % 2,
-            )
-        )
-
-    def top(self) -> int:
-        return self.bits[3]
-
-
-def torus_w2_cup(rep: TorusRep) -> int:
-    """w2 of the flat rank-3 bundle, via the sum-of-line-bundles cup formula.
-
-    The i-th line bundle pulls back the Moebius class along each circle
-    factor on which the i-th diagonal entry of the holonomy is -1, so its
-    w1 is a_i abar + b_i bbar with a_i = [rep.a.diag[i] = -1] and b_i
-    likewise.  Squares of degree-one classes vanish, so the top term of
-    the sum over i < j of w1_i w1_j is the sum over i != j of a_i b_j.
-    """
-    a = [x == -1 for x in rep.a.diag]
-    b = [x == -1 for x in rep.b.diag]
-    return (sum(a) * sum(b) - sum(x and y for x, y in zip(a, b))) % 2
-
-
-def torus_w2_surjectivity(rep: TorusRep) -> int:
-    """1 iff the two images generate the whole group."""
-    if rep.a == rep.b or V4.E in (rep.a, rep.b):
-        return 0
-    return 1
 
 
 @dataclass(frozen=True)

@@ -168,9 +168,10 @@ def calibrate(root: Path) -> Calibration:
     """Calibrate against every scripted fixture in the corpus and persist."""
     data = []
     for entry in load_corpus(root):
-        for script in entry.scripts:
-            movie = run_script(script, entry.diagram)
-            data.append((sato_levine_oracle(entry.diagram, 1), beta_engine(movie, 1)))
+        movies = [run_script(script, entry.diagram) for script in entry.scripts]
+        if movies:  # a script runs only at lk 0, so a script's error comes before the oracle's
+            oracle = sato_levine_oracle(entry.diagram, 1)
+            data += [(oracle, beta_engine(movie, 1)) for movie in movies]
     if not data:
         raise CalibrationError("no scripted fixtures to calibrate against")
     cal = calibrate_movies(data)

@@ -15,11 +15,13 @@ crossing.
 Orientation is one sign per crossing: slot 0 is incoming and slot 2
 outgoing by convention, so the sign says which of slots 1 and 3 is the
 incoming over arc.  ``make_crossing`` writes this slot template and
-``LinkDiagram.strands`` reads it back.  Derived diagrams are built from
-the signs of the crossings they keep.  Construction reads the template
-in one pass over the crossings, writing each arc's head, tail and
-successor; a table of each arc's two ends is built only to sign parsed
-codes and to name the arc in an error message.  A crossing switch is
+``LinkDiagram.strands`` reads it back.  A parsed code is signed by
+walking each strand forward from the slots whose role is known.
+Derived diagrams are built from the signs of the crossings they keep.
+Construction reads the template in one pass over the crossings, writing
+each arc's head, tail and successor; a table of each arc's two ends is
+built only to sign parsed codes and to name the arc in an error
+message.  A crossing switch is
 the one derived diagram that skips this: it keeps its parent's arcs and
 components, shares every other ``Crossing``, and rewrites only the
 switched crossing's slots and sign and the head and tail of its four
@@ -239,40 +241,34 @@ class LinkDiagram:
         return positions
 
     def _propagate_signs(self, positions: dict[int, list[tuple[int, int]]]) -> None:
-        """Sign the crossings that have none (parsed codes, braid closures) from the under strands.
+        """Sign the crossings that have none (parsed codes, braid closures) by walking strands.
 
-        A component that never passes under takes the sequential-numbering rule (the outgoing
-        over arc is the incoming one plus 1, with wraparound), else a fixed deterministic choice.
+        A strand that enters by slot s leaves by s ^ 2; where it next enters over, the slot
+        gives the sign: 3 gives +1 and 1 gives -1.  Walks start at every crossing's slot 2 and
+        at the outgoing over slot of each crossing whose sign was given.  A component that
+        never passes under gets -1 if arcs[1] >= arcs[3] else +1 at its first crossing and
+        is walked from there.  It lies above the rest of the link, so the link is split: with
+        either direction its linking numbers are 0 and so is the Conway polynomial.
         """
         sign = self._sign
-        stack = [(c.id, slot) for c in self.crossings for slot in range(4)]
+        todo = [(c.id, 2) for c in self.crossings]
+        todo += [(cid, 1 if s == 1 else 3) for cid, s in sign.items()]
 
-        def propagate() -> None:
-            # a known end of an arc gives the opposite role to its far end
-            while stack:
-                cid, slot = stack.pop()
-                if slot % 2 and cid not in sign:
-                    continue
+        def walk() -> None:
+            while todo:
+                cid, slot = todo.pop()
                 p, q = positions[self._by_id[cid].arcs[slot]]
                 far, far_slot = q if p == (cid, slot) else p
                 if far_slot % 2 and far not in sign:
-                    far_in = slot != 0 if slot % 2 == 0 else (slot == 3) != (sign[cid] > 0)
-                    sign[far] = 1 if far_in == (far_slot == 3) else -1
-                    stack.extend(((far, 1), (far, 3)))
+                    sign[far] = 1 if far_slot == 3 else -1
+                    todo.append((far, far_slot ^ 2))
 
-        propagate()
+        walk()
         for c in self.crossings:
-            if c.id in sign:
-                continue
-            b, d = c.arcs[1], c.arcs[3]
-            if d == b + 1:
-                sign[c.id] = -1
-            elif b == d + 1:
-                sign[c.id] = 1
-            else:
-                sign[c.id] = -1 if b >= d else 1
-            stack.extend(((c.id, 1), (c.id, 3)))
-            propagate()
+            if c.id not in sign:
+                sign[c.id] = -1 if c.arcs[1] >= c.arcs[3] else 1
+                todo.append((c.id, 1 if sign[c.id] == 1 else 3))
+                walk()
 
     # -- basic accessors ---------------------------------------------------
 
@@ -289,9 +285,6 @@ class LinkDiagram:
             return self._by_id[cid]
         except KeyError:
             raise DiagramError(f"unknown crossing id {cid}") from None
-
-    def is_incoming(self, cid: int, slot: int) -> bool:
-        return self._head.get(self.crossing(cid).arcs[slot]) == (cid, slot)
 
     def sign(self, cid: int) -> int:
         """Right-hand-rule sign: +1 iff the over strand enters at slot 3."""
@@ -388,12 +381,6 @@ class LinkDiagram:
         # each strand still runs from its in arc to its out arc, so the successor cycles stand
         out.components, out._component_of = self.components, self._component_of
         return out
-
-    def mirror(self) -> "LinkDiagram":
-        """Switch every crossing (the mirror-image diagram)."""
-        signs = {cid: -s for cid, s in self._sign.items()}
-        out = [make_crossing(c.id, *reversed(self.strands(c.id)), signs[c.id]) for c in self.crossings]
-        return LinkDiagram(out, self.markers, signs)
 
     def smoothing_pairs(self, cid: int) -> list[tuple[int, int]]:
         """The oriented resolution at a crossing as (incoming, outgoing) arc gluings."""

@@ -213,14 +213,12 @@ def slide_r3(d: LinkDiagram, cids: tuple[int, int, int]) -> LinkDiagram:
 def _apply_r3(d: LinkDiagram, face) -> LinkDiagram:
     # Each of the three strands swaps the order of its two triangle
     # crossings: exchange the in-slot contents and the out-slot contents
-    # between them.  Signs and over/under relations are untouched.
+    # between them.  A side's two ends are one head and one tail, so slot
+    # s1 plays the role of s2 ^ 2, and s1 ^ 2 that of s2.  Signs and
+    # over/under relations are untouched.
     contents: dict[tuple[int, int], int] = {}
     for (c1, s1), (c2, s2) in _passages(d, face):
-        pos1 = [(c1, s1), (c1, (s1 + 2) % 4)]
-        pos2 = [(c2, s2), (c2, (s2 + 2) % 4)]
-        for p1 in pos1:
-            for p2 in pos2:
-                if d.is_incoming(*p1) == d.is_incoming(*p2):
-                    contents[p1] = d.crossing(p2[0]).arcs[p2[1]]
-                    contents[p2] = d.crossing(p1[0]).arcs[p1[1]]
+        for p1, p2 in (((c1, s1), (c2, s2 ^ 2)), ((c1, s1 ^ 2), (c2, s2))):
+            contents[p1] = d.crossing(p2[0]).arcs[p2[1]]
+            contents[p2] = d.crossing(p1[0]).arcs[p1[1]]
     return d.rebuild(replace=contents)

@@ -9,15 +9,7 @@ import itertools
 import random
 import time
 
-from sato4.bundle import (
-    TorusRep,
-    V4,
-    glue_movies,
-    pontryagin_square,
-    torus_w2_cup,
-    torus_w2_surjectivity,
-    verify_gluing,
-)
+from sato4.bundle import glue_movies, pontryagin_square, verify_gluing
 from sato4.cli import main
 from sato4.conway import ConwayPoly, conway, sato_levine_oracle
 from sato4.corpus import calibrate_movies, load_calibration, verify_corpus
@@ -30,6 +22,7 @@ from sato4.movies import (
 )
 
 from reference_skein import skein_conway, smooth, sub, times_z
+from reference_torus import V4, TorusRep, torus_w2_cup, torus_w2_surjectivity
 
 
 def _report(criterion: int, description: str, check) -> None:

@@ -6,23 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sato4.bundle
 from sato4.bundle import (
     GluingReport,
-    TorusClass,
-    TorusRep,
-    V4,
-    V4Element,
     XLambdaModel,
     dold_whitney_realizable,
     glue_movies,
     pontryagin_square,
-    torus_w2_cup,
-    torus_w2_surjectivity,
     verify_gluing,
 )
 from sato4.diagram import parse_pd
 from sato4.errors import GluingError
 from sato4.movies import MovieResult, SelfIntersectionRecord, phi, run_script
+
+from reference_torus import V4, TorusClass, TorusRep, V4Element, torus_w2_cup, torus_w2_surjectivity
 
 UNLINK = parse_pd("PD[] U[1] U[2]")
 
@@ -123,6 +120,15 @@ def test_torus_cohomology_ring():
     assert a.cup(b).top() == 1
     assert b.cup(a).top() == 1
     assert TorusClass.one().cup(a) == a
+
+
+@pytest.mark.parametrize(
+    "name", ["V4Element", "V4", "TorusRep", "TorusClass", "torus_w2_cup", "torus_w2_surjectivity"]
+)
+def test_torus_lemma_is_not_in_the_package(name):
+    # gluing reads w = lambda mod 2 from each record; the lemma lives in reference_torus
+    assert not hasattr(sato4.bundle, name)
+    assert name not in sato4.bundle.__all__
 
 
 # -- Pontryagin squares ------------------------------------------------------------

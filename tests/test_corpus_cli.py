@@ -53,6 +53,26 @@ def test_calibration_unique_after_normalization(corpus_dir, tmp_path):
     assert load_calibration(work) == cal
 
 
+def test_calibrate_computes_one_oracle_per_scripted_fixture(corpus_dir, corpus, tmp_path, monkeypatch):
+    seen = []
+    real = sato4.corpus.sato_levine_oracle
+    monkeypatch.setattr(sato4.corpus, "sato_levine_oracle", lambda d, s: seen.append(d) or real(d, s))
+    calibrate(shutil.copytree(corpus_dir, tmp_path / "corpus"))
+    scripted = [e.diagram for e in corpus if e.scripts]
+    assert sum(len(e.scripts) > 1 for e in corpus) >= 2  # whitehead and double_clasp
+    assert seen == scripted
+
+
+def test_calibrate_reports_a_script_at_nonzero_linking_number_before_the_oracle(tmp_path, corpus_dir, capsys):
+    # the oracle would raise the bare lk-0 violation; the script's own error comes first
+    work = shutil.copytree(corpus_dir / "hopf", tmp_path / "hopf")
+    (work / "scripts").mkdir()
+    link = (work / "link.pd").read_text().splitlines()[-1]
+    (work / "scripts" / "a.json").write_text(json.dumps({"link": link, "moves": []}))
+    assert main(["calibrate", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: initial diagram: nonzero linking number\n"
+
+
 def test_calibrate_movies_sign_pair_structure():
     # engine and oracle match only up to one global sign: of the four sign
     # pairs exactly two agree, and normalization keeps one

@@ -1,11 +1,13 @@
 """PD parsing, signs, linking numbers, smoothing, switching, encodings."""
 
 import random
+from functools import reduce
 
 import pytest
 
 from sato4.braids import braid_closure
 from sato4.cli import main
+from sato4.conway import ConwayPoly, conway
 from sato4.diagram import LinkDiagram, make_crossing, parse_pd
 from sato4.errors import DiagramError, PDSyntaxError
 from sato4.rewrites import add_kink, add_r2
@@ -72,9 +74,10 @@ def test_kink_signs_mirror_antisymmetric():
 
 def test_mirror_flips_every_sign(corpus):
     for entry in corpus:
-        m = entry.diagram.mirror()
-        for c in entry.diagram.crossings:
-            assert m.sign(c.id) == -entry.diagram.sign(c.id)
+        d = entry.diagram
+        m = reduce(LinkDiagram.switch, [c.id for c in d.crossings], d)  # the mirror image
+        for c in d.crossings:
+            assert m.sign(c.id) == -d.sign(c.id)
 
 
 def test_unknown_crossing_id():
@@ -150,7 +153,7 @@ def test_switch_one_hopf_crossing_unlinks():
 
 def test_mirror_hopf_flips_linking_number():
     d = parse_pd(HOPF)
-    assert d.mirror().linking_number(1, 2) == -d.linking_number(1, 2)
+    assert d.switch(1).switch(2).linking_number(1, 2) == -d.linking_number(1, 2)
 
 
 def test_switch_self_crossing_preserves_linking(corpus):
@@ -234,9 +237,9 @@ def test_braid_closure_conventions():
 
 
 def test_orientation_all_over_component_is_deterministic():
-    # the first component of this code never passes under; the
-    # sequential-numbering rule orients it (arc 3 enters crossing 1 at
-    # slot 1), and parsing twice agrees
+    # the first component of this code never passes under; the fixed rule
+    # orients it (arcs[1] = 3 >= arcs[3] = 1, so arc 3 enters crossing 1
+    # at slot 1), and parsing twice agrees
     d1, d2 = parse_pd(ALL_OVER), parse_pd(ALL_OVER)
     assert d1 == d2
     assert d1.components == ((1, 3), (2, 4))
@@ -244,11 +247,30 @@ def test_orientation_all_over_component_is_deterministic():
     assert d1.linking_number(1, 2) == 0
 
 
+def test_all_over_component_takes_the_fixed_rule_over_sequential_numbering():
+    # arcs 1 and 2 run over both crossings; though 2 = 1 + 1, the fixed rule says
+    # 2 >= 1, so arc 2 enters crossing 1 at slot 1
+    d = parse_pd("PD[X[3,2,4,1], X[4,2,3,1]]")
+    assert [d.sign(c.id) for c in d.crossings] == [-1, 1]
+    # the component lies above the other, so its direction decides no answer
+    reverse = LinkDiagram(d.crossings, (), {1: 1, 2: -1})
+    for e in (d, reverse):
+        assert e.linking_number(1, 2) == 0
+        assert conway(e) == ConwayPoly.zero()
+
+
+def test_a_given_sign_directs_its_all_over_component():
+    # the fixed rule would give crossing 1 the sign -1; the walk from crossing 2's
+    # outgoing over arc reaches crossing 1 first and gives +1
+    crossings = parse_pd(ALL_OVER).crossings
+    assert LinkDiagram(crossings, (), {2: -1}) == LinkDiagram(crossings, (), {1: 1, 2: -1})
+
+
 def test_operations_keep_the_direction_of_an_all_over_component():
     # the reverse of what parsing picks, so only the stored signs say it
     d = LinkDiagram(parse_pd(ALL_OVER).crossings, (), {1: 1, 2: -1})
     assert d != parse_pd(ALL_OVER)
-    for derived in (d.rebuild(), d.switch(1).switch(1), d.mirror().mirror()):
+    for derived in (d.rebuild(), d.switch(1).switch(1), reduce(LinkDiagram.switch, [1, 2, 1, 2], d)):
         assert derived == d
     kinked = add_kink(d, 2, 1)
     assert [kinked.sign(cid) for cid in (1, 2, 3)] == [1, -1, 1]

@@ -162,7 +162,7 @@ def test_signs_other_than_plus_or_minus_one_are_rejected():
 
 
 def test_signs_that_are_not_integers_are_rejected():
-    d = parse_pd(HOPF).mirror()  # the positive Hopf diagram
+    d = parse_pd(HOPF).switch(1).switch(2)  # the positive Hopf diagram
     assert (d.sign(1), d.sign(2)) == (1, 1)
     for signs, shown in (({1: True, 2: True}, "True"), ({1: 1.0, 2: 1}, "1.0")):
         with pytest.raises(DiagramError) as err:
