@@ -40,6 +40,8 @@ def braid_closure(word: Sequence[int], strands: int) -> LinkDiagram:
     for fin, ini in zip(current, initial):
         if not union(parent, fin, ini):
             markers.append(find(parent, fin))  # untouched strand closes into a free circle
+    # unsigned, so oriented as a parsed code is: a component that never passes under may run against
+    # the braid, and scrambling reads orientation, so keeping these signs changes the bench inputs
     crossings = [Crossing(c.id, tuple(find(parent, a) for a in c.arcs)) for c in crossings]
     markers = [m for m in markers if not any(m in c.arcs for c in crossings)]
     return LinkDiagram(crossings, markers)

@@ -12,21 +12,21 @@ when it enters at slot 1.  Equivalently: rotating the under direction
 clockwise by a quarter turn gives the over direction at a positive
 crossing.
 
-Orientation is one sign per crossing: slot 0 is incoming and slot 2
-outgoing by convention, so the sign says which of slots 1 and 3 is the
-incoming over arc.  ``make_crossing`` writes this slot template and
-``LinkDiagram.strands`` reads it back.  A parsed code is signed by
-walking each strand forward from the slots whose role is known.
-Derived diagrams are built from the signs of the crossings they keep.
+Orientation is the ``sign`` field of each crossing: slot 0 is incoming
+and slot 2 outgoing by convention, so the sign says which of slots 1 and
+3 is the incoming over arc.  ``make_crossing`` writes this slot template
+and the sign onto the crossing, and ``LinkDiagram.strands`` reads it
+back.  Crossings without a sign (parsed codes, braid closures) are
+signed at construction by walking each strand forward from the slots
+whose role is known.  Derived diagrams keep their crossings' signs.
 Construction reads the template in one pass over the crossings, writing
 each arc's head, tail and successor; a table of each arc's two ends is
-built only to sign parsed codes and to name the arc in an error
-message.  A crossing switch is
-the one derived diagram that skips this: it keeps its parent's arcs and
-components, shares every other ``Crossing``, and rewrites only the
-switched crossing's slots and sign and the head and tail of its four
-arcs.  Pieces are counted over components when first asked for: one
-union per crossing, of the components of its two strands.
+built only to sign unsigned crossings and to name the arc in an error
+message.  A crossing switch is the one derived diagram that skips this:
+it keeps its parent's arcs and components, shares every other
+``Crossing``, and rewrites only the switched crossing and the head and
+tail of its four arcs.  Pieces are counted over components when first
+asked for: one union per crossing, of the components of its two strands.
 
 Diagrams are immutable values; every operation returns a new diagram.
 """
@@ -50,18 +50,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Crossing:
-    """One crossing: an id and its four arc slots in PD order."""
+    """One crossing: an id, its four arc slots in PD order, and its sign (None: orient from the code)."""
 
     id: int
     arcs: tuple[int, int, int, int]
+    sign: int | None = None
 
 
 def make_crossing(cid: int, under: tuple[int, int], over: tuple[int, int], sign: int) -> Crossing:
     """The crossing of sign ``sign`` whose strands run (in, out) along ``under`` and ``over``."""
     (ui, uo), (oi, oo) = under, over
-    return Crossing(cid, (ui, oo, uo, oi) if sign > 0 else (ui, oi, uo, oo))
+    return Crossing(cid, (ui, oo, uo, oi) if sign > 0 else (ui, oi, uo, oo), sign)
 
 
 _X_TOKEN = re.compile(r"X\s*\[\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\]")
@@ -170,34 +171,24 @@ class LinkDiagram:
 
     Components are the cycles of the successor relation on arcs, indexed
     from 1 in order of their smallest arc (or marker) identifier.
-    ``signs`` maps crossing ids to +1 or -1; crossings it leaves out are
-    oriented from the code itself.
+    Crossings whose ``sign`` is None are oriented from the code itself,
+    and the diagram keeps signed copies of them.
     """
 
-    def __init__(
-        self,
-        crossings: Iterable[Crossing],
-        markers: Iterable[int] = (),
-        signs: dict[int, int] | None = None,
-    ):
+    def __init__(self, crossings: Iterable[Crossing], markers: Iterable[int] = ()):
         self.crossings: tuple[Crossing, ...] = tuple(sorted(crossings, key=lambda c: c.id))
         self.markers: tuple[int, ...] = tuple(sorted(markers))
         self._by_id = {c.id: c for c in self.crossings}
         if len(self._by_id) != len(self.crossings):
             raise DiagramError("duplicate crossing ids")
-        self._sign = dict(signs or {})
-        unknown = self._sign.keys() - self._by_id.keys()
-        if unknown:
-            raise DiagramError(f"sign given for unknown crossing id {min(unknown)}")
-        if len(self._sign) < len(self.crossings):
+        if any(c.sign is None for c in self.crossings):
             self._propagate_signs(self._arc_positions())
         # one pass: slot 0 in, slot 2 out, and the sign picks the incoming over slot
         head, tail, succ = {}, {}, {}
         try:
             for c in self.crossings:
-                cid = c.id
+                cid, sign = c.id, c.sign
                 a, b, e, f = c.arcs
-                sign = self._sign[cid]
                 positive = sign == 1
                 if type(sign) is not int or not (positive or sign == -1):  # True and 1.0 equal 1
                     raise DiagramError(f"crossing {cid} has sign {sign!r}, expected +1 or -1")
@@ -245,12 +236,13 @@ class LinkDiagram:
 
         A strand that enters by slot s leaves by s ^ 2; where it next enters over, the slot
         gives the sign: 3 gives +1 and 1 gives -1.  Walks start at every crossing's slot 2 and
-        at the outgoing over slot of each crossing whose sign was given.  A component that
+        at the outgoing over slot of each crossing that has a sign.  A component that
         never passes under gets -1 if arcs[1] >= arcs[3] else +1 at its first crossing and
         is walked from there.  It lies above the rest of the link, so the link is split: with
-        either direction its linking numbers are 0 and so is the Conway polynomial.
+        either direction its linking numbers are 0 and so is the Conway polynomial.  The
+        signs are written onto the crossings once, when every crossing has one.
         """
-        sign = self._sign
+        sign = {c.id: c.sign for c in self.crossings if c.sign is not None}
         todo = [(c.id, 2) for c in self.crossings]
         todo += [(cid, 1 if s == 1 else 3) for cid, s in sign.items()]
 
@@ -269,6 +261,10 @@ class LinkDiagram:
                 sign[c.id] = -1 if c.arcs[1] >= c.arcs[3] else 1
                 todo.append((c.id, 1 if sign[c.id] == 1 else 3))
                 walk()
+        # from a list, not a generator: a tuple grown by resizing is freed onto a free list it
+        # was not taken from, and those lists kept filling, raising the benchmark's peak RSS
+        self.crossings = tuple([Crossing(c.id, c.arcs, sign[c.id]) for c in self.crossings])
+        self._by_id = {c.id: c for c in self.crossings}
 
     # -- basic accessors ---------------------------------------------------
 
@@ -288,8 +284,7 @@ class LinkDiagram:
 
     def sign(self, cid: int) -> int:
         """Right-hand-rule sign: +1 iff the over strand enters at slot 3."""
-        self.crossing(cid)
-        return self._sign[cid]
+        return self.crossing(cid).sign
 
     def component_of(self, arc: int) -> int:
         try:
@@ -333,7 +328,7 @@ class LinkDiagram:
         for k in (i, j):
             if not 1 <= k <= self.component_count:
                 raise DiagramError(f"no component {k}")
-        total = sum(self._sign[c.id] for c in self.crossings if set(self.strand_components(c.id)) == {i, j})
+        total = sum(c.sign for c in self.crossings if set(self.strand_components(c.id)) == {i, j})
         if total % 2:
             raise DiagramError("odd inter-component crossing sum; diagram is not a closed-curve projection")
         return total // 2
@@ -351,8 +346,9 @@ class LinkDiagram:
 
     def strands(self, cid: int) -> tuple[tuple[int, int], tuple[int, int]]:
         """The (in, out) arcs of the under and the over strand: make_crossing read back."""
-        ui, b, uo, d = self.crossing(cid).arcs
-        return ((ui, uo), (d, b)) if self._sign[cid] > 0 else ((ui, uo), (b, d))
+        c = self.crossing(cid)
+        ui, b, uo, d = c.arcs
+        return ((ui, uo), (d, b)) if c.sign > 0 else ((ui, uo), (b, d))
 
     def switch(self, cid: int) -> "LinkDiagram":
         """Exchange over and under strands at one crossing.
@@ -360,17 +356,16 @@ class LinkDiagram:
         Arcs, orientations and all other crossings are untouched, and the
         sign of the crossing is negated.  The result is derived from this
         diagram without a rebuild: it shares the components and every
-        other ``Crossing``, and rewrites only this crossing's slots and
-        sign and the ends of its four arcs.
+        other ``Crossing``, and rewrites only this crossing and the ends
+        of its four arcs.
         """
         under, over = self.strands(cid)
-        sign = -self._sign[cid]
+        sign = -self._by_id[cid].sign
         new = make_crossing(cid, over, under, sign)
         out = LinkDiagram.__new__(LinkDiagram)
         out.crossings = tuple(new if c.id == cid else c for c in self.crossings)
         out.markers = self.markers
         out._by_id = {**self._by_id, cid: new}
-        out._sign = {**self._sign, cid: sign}
         out._head, out._tail = head, tail = dict(self._head), dict(self._tail)
         a, b, e, f = new.arcs  # the template __init__ reads
         head[a], tail[e] = (cid, 0), (cid, 2)
@@ -393,7 +388,6 @@ class LinkDiagram:
         glue: Iterable[tuple[int, int]] = (),
         drop_markers: Iterable[int] = (),
         new_crossings: Iterable[Crossing] = (),
-        new_signs: dict[int, int] | None = None,
         replace: dict[tuple[int, int], int] | None = None,
     ) -> "LinkDiagram":
         """Produce a new diagram by deleting crossings and regluing arcs.
@@ -404,8 +398,7 @@ class LinkDiagram:
         (e.g. a removed kink loop) simply vanish.  ``replace`` overwrites
         individual (crossing, slot) positions with explicit arc ids; the
         in/out role of an overwritten position is unchanged.  Kept
-        crossings keep their signs; ``new_signs`` gives those of
-        ``new_crossings``.
+        crossings keep their signs, and ``new_crossings`` carry their own.
         """
         removed = set(remove)
         parent: dict[int, int] = {}
@@ -437,6 +430,7 @@ class LinkDiagram:
                     overrides.get((c.id, slot), rename.get(a, a))
                     for slot, a in enumerate(c.arcs)
                 ),
+                c.sign,
             )
             if c.id in touched
             else c
@@ -444,9 +438,7 @@ class LinkDiagram:
             if c.id not in removed
         ]
         kept.extend(new_crossings)
-        signs = {cid: s for cid, s in self._sign.items() if cid not in removed}
-        signs.update(new_signs or {})
-        return LinkDiagram(kept, markers, signs)
+        return LinkDiagram(kept, markers)
 
     # -- faces (combinatorial planar regions) --------------------------------
 
@@ -464,7 +456,7 @@ class LinkDiagram:
     def _turns(self, c: Crossing) -> tuple:
         """(arriving, leaving) directed arcs at c's corners by slot: a face in through s leaves by s - 1."""
         a, b, e, f = c.arcs  # slots 0 and 3 are incoming at a positive crossing, 0 and 1 at a negative one
-        if self._sign[c.id] > 0:
+        if c.sign > 0:
             return (((a, True), (f, False)), ((b, False), (a, False)),
                     ((e, False), (b, True)), ((f, True), (e, True)))
         return (((a, True), (f, True)), ((b, True), (a, False)),
@@ -537,27 +529,20 @@ class LinkDiagram:
         walk = [arc for cyc in self.components if cyc[0] not in marker_set for arc in cyc]
         label = {arc: n for n, arc in enumerate(walk, 1)}
         quads = sorted(
-            (*(label[a] for a in c.arcs), 1 if self._sign[c.id] < 0 else 0) for c in self.crossings
+            (*(label[a] for a in c.arcs), 1 if c.sign < 0 else 0) for c in self.crossings
         )
         body = ";".join(f"{a},{b},{c},{d}:{flag}" for a, b, c, d, flag in quads)
         return f"U{len(self.markers)}|{body}"
 
     # -- value semantics ---------------------------------------------------------
 
-    def _orientation_key(self) -> tuple:
-        return tuple(self._sign[c.id] for c in self.crossings)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LinkDiagram):
             return NotImplemented
-        return (
-            self.crossings == other.crossings
-            and self.markers == other.markers
-            and self._orientation_key() == other._orientation_key()
-        )
+        return self.crossings == other.crossings and self.markers == other.markers
 
     def __hash__(self) -> int:
-        return hash((self.crossings, self.markers, self._orientation_key()))
+        return hash((self.crossings, self.markers))
 
     def __repr__(self) -> str:
         return f"LinkDiagram({self.serialize()!r})"

@@ -74,7 +74,6 @@ def add_kink(d: LinkDiagram, arc: int, sign: int, over_first: bool = True) -> Li
         replace=head_fix,
         drop_markers=drop,
         new_crossings=[make_crossing(cid, under, over, sign)],
-        new_signs={cid: sign},
     )
 
 
@@ -110,11 +109,7 @@ def add_r2(d: LinkDiagram, x: int, y: int, x_over: bool) -> LinkDiagram:
         c1, c2 = make_crossing(cw, y_cw, x_cw, sign), make_crossing(ce, y_ce, x_ce, -sign)
     else:
         c1, c2 = make_crossing(cw, x_cw, y_cw, sign), make_crossing(ce, x_ce, y_ce, -sign)
-    return d.rebuild(
-        replace={d.head(x): x2, d.head(y): y2},
-        new_crossings=[c1, c2],
-        new_signs={cw: sign, ce: -sign},
-    )
+    return d.rebuild(replace={d.head(x): x2, d.head(y): y2}, new_crossings=[c1, c2])
 
 
 def _r2_sides(d: LinkDiagram, x: int, y: int) -> tuple[bool, bool]:

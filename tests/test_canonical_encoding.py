@@ -43,9 +43,8 @@ def _renamed(d: LinkDiagram, rng: random.Random) -> LinkDiagram:
     ids = rng.sample(range(1, 4 * len(d.crossings) + 1), len(d.crossings))
     new_id = {c.id: i for c, i in zip(d.crossings, ids)}
     return LinkDiagram(
-        [Crossing(new_id[c.id], tuple(rename[a] for a in c.arcs)) for c in d.crossings],
+        [Crossing(new_id[c.id], tuple(rename[a] for a in c.arcs), c.sign) for c in d.crossings],
         [rename[m] for m in d.markers],
-        signs={new_id[c.id]: d.sign(c.id) for c in d.crossings},
     )
 
 
@@ -53,13 +52,12 @@ def _read_back(key: str) -> LinkDiagram:
     """The diagram a key names: its quads as crossings, its flags as signs."""
     head, body = key.split("|")
     quads = [entry.split(":") for entry in body.split(";")] if body else []
-    crossings = [Crossing(i, tuple(int(a) for a in q.split(","))) for i, (q, _) in enumerate(quads, 1)]
+    crossings = [
+        Crossing(i, tuple(int(a) for a in q.split(",")), -1 if flag == "1" else 1)
+        for i, (q, flag) in enumerate(quads, 1)
+    ]
     n = 2 * len(crossings)
-    return LinkDiagram(
-        crossings,
-        range(n + 1, n + 1 + int(head[1:])),
-        signs={i: -1 if flag == "1" else 1 for i, (_, flag) in enumerate(quads, 1)},
-    )
+    return LinkDiagram(crossings, range(n + 1, n + 1 + int(head[1:])))
 
 
 def test_key_survives_order_preserving_renaming(built, lk0_closure):

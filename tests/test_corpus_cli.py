@@ -349,6 +349,26 @@ def test_cli_phi_missing_crossing_names_the_move(capsys, tmp_path, corpus_dir, k
     assert err == f"error: script invalid: move 0 ({kind}) failed: unknown crossing id 999"
 
 
+@pytest.mark.parametrize(
+    "move, message",
+    [
+        ({"kind": "r3", "crossings": [1, 2]}, "r3 takes three crossing ids"),
+        ({"kind": "r2_remove", "crossings": [1]}, "r2_remove takes two crossing ids"),
+        ({"kind": "r2_add", "arcs": [1, 2, 3]}, "r2_add takes two arc ids"),
+        ({"kind": "r2_add", "arcs": []}, "r2_add takes two arc ids"),
+    ],
+)
+def test_cli_phi_move_list_of_wrong_length_is_an_invalid_script(capsys, tmp_path, corpus_dir, move, message):
+    # the schema accepts any list of ints; the move's arity is checked when it is applied
+    payload = json.loads((corpus_dir / "whitehead" / "scripts" / "a.json").read_text())
+    payload["moves"] = [move]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    assert main(["phi", "--script", str(bad)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err == f"error: script invalid: move 0 ({move['kind']}) failed: {message}"
+
+
 def test_cli_phi_initial_diagram_error_is_not_terminal_state(capsys, tmp_path):
     script = tmp_path / "hopf.json"
     script.write_text(json.dumps({"link": "PD[X[4,1,3,2],X[2,3,1,4]]", "moves": []}))

@@ -1,6 +1,7 @@
 """PD parsing, signs, linking numbers, smoothing, switching, encodings."""
 
 import random
+from dataclasses import replace
 from functools import reduce
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from sato4.braids import braid_closure
 from sato4.cli import main
 from sato4.conway import ConwayPoly, conway
-from sato4.diagram import LinkDiagram, make_crossing, parse_pd
+from sato4.diagram import Crossing, LinkDiagram, make_crossing, parse_pd
 from sato4.errors import DiagramError, PDSyntaxError
 from sato4.rewrites import add_kink, add_r2
 from sato4.search import apply_move, auto_script, enumerate_moves
@@ -253,7 +254,7 @@ def test_all_over_component_takes_the_fixed_rule_over_sequential_numbering():
     d = parse_pd("PD[X[3,2,4,1], X[4,2,3,1]]")
     assert [d.sign(c.id) for c in d.crossings] == [-1, 1]
     # the component lies above the other, so its direction decides no answer
-    reverse = LinkDiagram(d.crossings, (), {1: 1, 2: -1})
+    reverse = LinkDiagram([replace(c, sign=s) for c, s in zip(d.crossings, (1, -1))])
     for e in (d, reverse):
         assert e.linking_number(1, 2) == 0
         assert conway(e) == ConwayPoly.zero()
@@ -262,13 +263,14 @@ def test_all_over_component_takes_the_fixed_rule_over_sequential_numbering():
 def test_a_given_sign_directs_its_all_over_component():
     # the fixed rule would give crossing 1 the sign -1; the walk from crossing 2's
     # outgoing over arc reaches crossing 1 first and gives +1
-    crossings = parse_pd(ALL_OVER).crossings
-    assert LinkDiagram(crossings, (), {2: -1}) == LinkDiagram(crossings, (), {1: 1, 2: -1})
+    c1, c2 = (Crossing(c.id, c.arcs) for c in parse_pd(ALL_OVER).crossings)
+    given = replace(c2, sign=-1)
+    assert LinkDiagram([c1, given]) == LinkDiagram([replace(c1, sign=1), given])
 
 
 def test_operations_keep_the_direction_of_an_all_over_component():
     # the reverse of what parsing picks, so only the stored signs say it
-    d = LinkDiagram(parse_pd(ALL_OVER).crossings, (), {1: 1, 2: -1})
+    d = LinkDiagram([replace(c, sign=s) for c, s in zip(parse_pd(ALL_OVER).crossings, (1, -1))])
     assert d != parse_pd(ALL_OVER)
     for derived in (d.rebuild(), d.switch(1).switch(1), reduce(LinkDiagram.switch, [1, 2, 1, 2], d)):
         assert derived == d
@@ -320,11 +322,11 @@ def test_one_wrong_sign_is_rejected(built, lk0_closure):
     for _ in range(3):
         skein_conway(lk0_closure(rng))
     for d in list(built):
-        signs = {c.id: d.sign(c.id) for c in d.crossings}
-        assert LinkDiagram(d.crossings, d.markers, signs) == d
-        for cid in signs:
+        assert LinkDiagram(d.crossings, d.markers) == d
+        for i, c in enumerate(d.crossings):
+            flipped = [*d.crossings[:i], replace(c, sign=-c.sign), *d.crossings[i + 1:]]
             with pytest.raises(DiagramError, match="inconsistent orientation"):
-                LinkDiagram(d.crossings, d.markers, {**signs, cid: -signs[cid]})
+                LinkDiagram(flipped, d.markers)
 
 
 def test_component_indexing_by_smallest_arc():
@@ -357,7 +359,7 @@ def test_strands_inverts_make_crossing(sign, arcs):
     # under strand 1 -> 2, over strand 3 -> 4
     c = make_crossing(7, (1, 2), (3, 4), sign)
     assert (c.id, c.arcs) == (7, arcs)
-    d = LinkDiagram([c, make_crossing(8, (4, 3), (2, 1), sign)], (), {7: sign, 8: sign})
+    d = LinkDiagram([c, make_crossing(8, (4, 3), (2, 1), sign)])
     assert d.strands(7) == ((1, 2), (3, 4))
     assert d.strands(8) == ((4, 3), (2, 1))
 

@@ -8,14 +8,15 @@ compared with every diagram the pipeline builds or switches.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from sato4.corpus import load_entry
-from sato4.diagram import Crossing, LinkDiagram, parse_pd, union
+from sato4.diagram import Crossing, LinkDiagram, make_crossing, parse_pd, union
 from sato4.errors import DiagramError, MoveError
 from sato4.movies import run_script, smoothing_loop_linking
-from sato4.rewrites import _bigons, _r2_sides, _slidable_triangles, add_r2, bigon_arcs, remove_r2
+from sato4.rewrites import _bigons, _r2_sides, _slidable_triangles, add_kink, add_r2, bigon_arcs, remove_r2
 from sato4.search import apply_move, auto_script, enumerate_moves
 
 from reference_skein import skein_conway, smooth
@@ -105,6 +106,25 @@ def test_one_pass_matches_the_reference_on_every_built_diagram(built, lk0_closur
         assert d.pieces() == pieces
 
 
+def test_every_built_crossing_is_signed(built, lk0_closure):
+    # braid closures, parsed codes, switches and every rewrite all hand over signed crossings
+    rng = random.Random(2203)
+    kinds = set()
+    for _ in range(3):
+        d = add_kink(parse_pd(_scrambled(rng, lk0_closure).serialize()), 1, -1)
+        face = next(f for f in d.faces if len({arc for arc, _ in f}) > 1)
+        d = add_r2(d, face[0][0], next(arc for arc, _ in face if arc != face[0][0]), True)
+        for move in enumerate_moves(d, include_adds=True):
+            apply_move(d, move)
+            kinds.add(move.kind)
+    assert kinds == {"r1_add", "r1_remove", "r2_add", "r2_remove", "r3", "sc"}
+    for d in built:
+        for c in d.crossings:
+            assert c.sign in (1, -1) and c.sign == d.sign(c.id), d.serialize()
+    for s in (1, -1):
+        assert make_crossing(5, (1, 2), (3, 4), s).sign == s
+
+
 def test_derived_diagrams_share_untouched_crossings():
     d = parse_pd("PD[X[1,4,2,5],X[3,6,4,1],X[5,2,6,3]]")
     switched = d.switch(2)
@@ -135,48 +155,41 @@ _CONSTRUCTION_ERRORS = [
 @pytest.mark.parametrize("signed", [False, True])
 def test_construction_errors_keep_their_messages(crossings, markers, message, signed):
     # unsigned codes are oriented by propagation; signed ones by the one-pass loop alone
-    signs = {c.id: 1 for c in crossings} if signed else None
+    if signed:
+        crossings = [replace(c, sign=1) for c in crossings]
     with pytest.raises(DiagramError) as err:
-        LinkDiagram(crossings, markers, signs)
+        LinkDiagram(crossings, markers)
     assert str(err.value) == message
 
 
 def test_one_flipped_sign_is_an_orientation_error(lk0_closure):
     rng = random.Random(7)
     for d in [_scrambled(rng, lk0_closure) for _ in range(3)] + [parse_pd(HOPF)]:
-        signs = {c.id: d.sign(c.id) for c in d.crossings}
-        for cid in signs:
+        for i, c in enumerate(d.crossings):
+            flipped = [*d.crossings[:i], replace(c, sign=-c.sign), *d.crossings[i + 1:]]
             with pytest.raises(DiagramError) as err:
-                LinkDiagram(d.crossings, d.markers, {**signs, cid: -signs[cid]})
+                LinkDiagram(flipped, d.markers)
             assert str(err.value) == "inconsistent orientation traversal"
 
 
 def test_signs_other_than_plus_or_minus_one_are_rejected():
     d = parse_pd(HOPF)
-    doubled = {c.id: 2 * d.sign(c.id) for c in d.crossings}
+    doubled = [replace(c, sign=2 * c.sign) for c in d.crossings]
     with pytest.raises(DiagramError) as err:
-        LinkDiagram(d.crossings, d.markers, doubled)
-    assert str(err.value) == f"crossing 1 has sign {doubled[1]}, expected +1 or -1"
-    with pytest.raises(DiagramError, match="has sign 0"):
-        LinkDiagram(d.crossings, d.markers, {1: 0})  # crossing 2 is signed by propagation
+        LinkDiagram(doubled, d.markers)
+    assert str(err.value) == f"crossing 1 has sign {doubled[0].sign}, expected +1 or -1"
+    c1, c2 = d.crossings
+    with pytest.raises(DiagramError, match="has sign 0"):  # crossing 2 is signed by propagation
+        LinkDiagram([replace(c1, sign=0), Crossing(c2.id, c2.arcs)], d.markers)
 
 
 def test_signs_that_are_not_integers_are_rejected():
     d = parse_pd(HOPF).switch(1).switch(2)  # the positive Hopf diagram
     assert (d.sign(1), d.sign(2)) == (1, 1)
-    for signs, shown in (({1: True, 2: True}, "True"), ({1: 1.0, 2: 1}, "1.0")):
+    for signs, shown in (((True, True), "True"), ((1.0, 1), "1.0")):
         with pytest.raises(DiagramError) as err:
-            LinkDiagram(d.crossings, d.markers, signs)
+            LinkDiagram([replace(c, sign=s) for c, s in zip(d.crossings, signs)], d.markers)
         assert str(err.value) == f"crossing 1 has sign {shown}, expected +1 or -1"
-
-
-def test_signs_for_unknown_crossings_are_rejected():
-    d = parse_pd(HOPF)
-    signs = {c.id: d.sign(c.id) for c in d.crossings}
-    with pytest.raises(DiagramError, match="^sign given for unknown crossing id 99$"):
-        LinkDiagram(d.crossings, d.markers, {**signs, 99: 1})
-    with pytest.raises(DiagramError, match="unknown crossing id 99"):
-        LinkDiagram((), (1,), {99: -1})
 
 
 def test_pieces_are_counted_once(monkeypatch, by_name):
@@ -197,7 +210,7 @@ def test_pieces_are_counted_once(monkeypatch, by_name):
 
 
 def _built_afresh(d: LinkDiagram) -> LinkDiagram:
-    return LinkDiagram(d.crossings, d.markers, {c.id: d.sign(c.id) for c in d.crossings})
+    return LinkDiagram(d.crossings, d.markers)
 
 
 def test_switch_derives_what_construction_builds(lk0_closure, corpus):
