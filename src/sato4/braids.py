@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .diagram import Crossing, LinkDiagram, find, make_crossing, union
+from .diagram import LinkDiagram, _orient, find, make_crossing, union
 from .errors import DiagramError
 
 __all__ = ["braid_closure"]
@@ -40,8 +40,8 @@ def braid_closure(word: Sequence[int], strands: int) -> LinkDiagram:
     for fin, ini in zip(current, initial):
         if not union(parent, fin, ini):
             markers.append(find(parent, fin))  # untouched strand closes into a free circle
-    # unsigned, so oriented as a parsed code is: a component that never passes under may run against
-    # the braid, and scrambling reads orientation, so keeping these signs changes the bench inputs
-    crossings = [Crossing(c.id, tuple(find(parent, a) for a in c.arcs)) for c in crossings]
+    # _orient signs the code as it signs parsed text: a component that never passes under may run
+    # against the braid, and scrambling reads orientation, so keeping its signs changes the bench inputs
+    crossings = _orient([tuple(find(parent, a) for a in c.arcs) for c in crossings])
     markers = [m for m in markers if not any(m in c.arcs for c in crossings)]
     return LinkDiagram(crossings, markers)

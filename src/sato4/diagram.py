@@ -16,17 +16,19 @@ Orientation is the ``sign`` field of each crossing: slot 0 is incoming
 and slot 2 outgoing by convention, so the sign says which of slots 1 and
 3 is the incoming over arc.  ``make_crossing`` writes this slot template
 and the sign onto the crossing, and ``LinkDiagram.strands`` reads it
-back.  Crossings without a sign (parsed codes, braid closures) are
-signed at construction by walking each strand forward from the slots
-whose role is known.  Derived diagrams keep their crossings' signs.
-Construction reads the template in one pass over the crossings, writing
-each arc's head, tail and successor; a table of each arc's two ends is
-built only to sign unsigned crossings and to name the arc in an error
-message.  A crossing switch is the one derived diagram that skips this:
-it keeps its parent's arcs and components, shares every other
-``Crossing``, and rewrites only the switched crossing and the head and
-tail of its four arcs.  Pieces are counted over components when first
-asked for: one union per crossing, of the components of its two strands.
+back.  Unsigned code (parsed text, braid closures) is signed before any
+crossing exists: ``_orient`` walks each strand forward from the slots
+whose role is known and builds each crossing once, with its sign.
+``LinkDiagram`` takes signed crossings only, and derived diagrams keep
+their crossings' signs.  Construction reads the template in one pass
+over the crossings, writing each arc's head, tail and successor; a table
+of each arc's two ends is built only to sign unsigned code and to name
+the arc in an error message.  A crossing switch is the one derived
+diagram that skips this: it keeps its parent's arcs and components,
+shares every other ``Crossing``, and rewrites only the switched crossing
+and the head and tail of its four arcs.  Pieces are counted over
+components when first asked for: one union per crossing, of the
+components of its two strands.
 
 Diagrams are immutable values; every operation returns a new diagram.
 """
@@ -52,11 +54,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Crossing:
-    """One crossing: an id, its four arc slots in PD order, and its sign (None: orient from the code)."""
+    """One crossing: an id, its four arc slots in PD order, and its sign, +1 or -1."""
 
     id: int
     arcs: tuple[int, int, int, int]
-    sign: int | None = None
+    sign: int
 
 
 def make_crossing(cid: int, under: tuple[int, int], over: tuple[int, int], sign: int) -> Crossing:
@@ -121,11 +123,57 @@ def _tokens_lines(body: str) -> tuple[list[tuple[int, int, int, int]], list[int]
 def parse_pd(text: str) -> "LinkDiagram":
     """Parse PD text, in either form ``tokenize_pd`` reads, into a validated diagram."""
     quads, markers = tokenize_pd(text)
-    d = LinkDiagram([Crossing(i, q) for i, q in enumerate(quads, 1)], markers)
+    d = LinkDiagram(_orient(quads), markers)
     # Euler: a piece with n crossings lies on a sphere iff it has n + 2 faces
     if len(d.faces) != len(d.crossings) + 2 * d.pieces():
         raise DiagramError("PD code is not planar: some piece does not lie on a sphere")
     return d
+
+
+def _arc_positions(crossings: Iterable[tuple[int, tuple]]) -> dict[int, list[tuple[int, int]]]:
+    """The (crossing, slot) ends of each arc of (id, arcs) pairs; raises unless it is a positive int used twice."""
+    positions: dict[int, list[tuple[int, int]]] = {}
+    for cid, arcs in crossings:
+        for slot, arc in enumerate(arcs):
+            if not isinstance(arc, int) or arc < 1:
+                raise DiagramError(f"arc identifiers must be positive integers, got {arc!r}")
+            positions.setdefault(arc, []).append((cid, slot))
+    for arc, pos in positions.items():
+        if len(pos) != 2:
+            raise DiagramError(f"arc {arc} appears {len(pos)} times, expected 2")
+    return positions
+
+
+def _orient(quads: list[tuple[int, int, int, int]]) -> list[Crossing]:
+    """The crossings 1..n of unsigned quads, each built once with the sign its code gives.
+
+    A strand that enters by slot s leaves by s ^ 2; where it next enters over, the slot
+    gives the sign: 3 gives +1 and 1 gives -1.  Walks start at every crossing's slot 2.
+    A component that never passes under gets -1 if arcs[1] >= arcs[3] else +1 at its
+    first crossing and is walked from there.  It lies above the rest of the link, so the
+    link is split: with either direction its linking numbers are 0 and so is the Conway
+    polynomial.
+    """
+    positions = _arc_positions(enumerate(quads, 1))
+    sign: dict[int, int] = {}
+    todo = [(cid, 2) for cid in range(1, len(quads) + 1)]
+
+    def walk() -> None:
+        while todo:
+            cid, slot = todo.pop()
+            p, q = positions[quads[cid - 1][slot]]
+            far, far_slot = q if p == (cid, slot) else p
+            if far_slot % 2 and far not in sign:
+                sign[far] = 1 if far_slot == 3 else -1
+                todo.append((far, far_slot ^ 2))
+
+    walk()
+    for cid, arcs in enumerate(quads, 1):
+        if cid not in sign:
+            sign[cid] = -1 if arcs[1] >= arcs[3] else 1
+            todo.append((cid, 1 if sign[cid] == 1 else 3))
+            walk()
+    return [Crossing(cid, arcs, sign[cid]) for cid, arcs in enumerate(quads, 1)]
 
 
 def orbits(succ: dict) -> list[tuple]:
@@ -171,8 +219,8 @@ class LinkDiagram:
 
     Components are the cycles of the successor relation on arcs, indexed
     from 1 in order of their smallest arc (or marker) identifier.
-    Crossings whose ``sign`` is None are oriented from the code itself,
-    and the diagram keeps signed copies of them.
+    Every crossing carries its sign, +1 or -1; unsigned code is signed
+    by ``_orient`` before it gets here.
     """
 
     def __init__(self, crossings: Iterable[Crossing], markers: Iterable[int] = ()):
@@ -181,8 +229,6 @@ class LinkDiagram:
         self._by_id = {c.id: c for c in self.crossings}
         if len(self._by_id) != len(self.crossings):
             raise DiagramError("duplicate crossing ids")
-        if any(c.sign is None for c in self.crossings):
-            self._propagate_signs(self._arc_positions())
         # one pass: slot 0 in, slot 2 out, and the sign picks the incoming over slot
         head, tail, succ = {}, {}, {}
         try:
@@ -198,12 +244,12 @@ class LinkDiagram:
                     head[b], tail[f], succ[b] = (cid, 1), (cid, 3), f
                 head[a], tail[e], succ[a] = (cid, 0), (cid, 2), e
         except (TypeError, ValueError):  # an unhashable arc or not four arcs: the table names it
-            self._arc_positions()
+            _arc_positions((c.id, c.arcs) for c in self.crossings)
             raise
         # every arc has one incoming and one outgoing end, so exactly two ends
         oriented = len(head) == len(tail) == 2 * len(self.crossings) and head.keys() == tail.keys()
         if not oriented or not all(isinstance(arc, int) and arc > 0 for arc in head):
-            self._arc_positions()  # raises on a bad or miscounted arc
+            _arc_positions((c.id, c.arcs) for c in self.crossings)  # raises on a bad or miscounted arc
         if len(set(self.markers)) != len(self.markers):
             raise DiagramError("duplicate unknot markers")
         for m in self.markers:
@@ -217,54 +263,6 @@ class LinkDiagram:
         succ.update((m, m) for m in self.markers)  # a marker is a one-element cycle
         self.components: tuple[tuple[int, ...], ...] = tuple(orbits(succ))
         self._component_of = {arc: idx for idx, cyc in enumerate(self.components, 1) for arc in cyc}
-
-    def _arc_positions(self) -> dict[int, list[tuple[int, int]]]:
-        """The (crossing, slot) ends of every arc; raises unless each arc is a positive int used twice."""
-        positions: dict[int, list[tuple[int, int]]] = {}
-        for c in self.crossings:
-            for slot, arc in enumerate(c.arcs):
-                if not isinstance(arc, int) or arc < 1:
-                    raise DiagramError(f"arc identifiers must be positive integers, got {arc!r}")
-                positions.setdefault(arc, []).append((c.id, slot))
-        for arc, pos in positions.items():
-            if len(pos) != 2:
-                raise DiagramError(f"arc {arc} appears {len(pos)} times, expected 2")
-        return positions
-
-    def _propagate_signs(self, positions: dict[int, list[tuple[int, int]]]) -> None:
-        """Sign the crossings that have none (parsed codes, braid closures) by walking strands.
-
-        A strand that enters by slot s leaves by s ^ 2; where it next enters over, the slot
-        gives the sign: 3 gives +1 and 1 gives -1.  Walks start at every crossing's slot 2 and
-        at the outgoing over slot of each crossing that has a sign.  A component that
-        never passes under gets -1 if arcs[1] >= arcs[3] else +1 at its first crossing and
-        is walked from there.  It lies above the rest of the link, so the link is split: with
-        either direction its linking numbers are 0 and so is the Conway polynomial.  The
-        signs are written onto the crossings once, when every crossing has one.
-        """
-        sign = {c.id: c.sign for c in self.crossings if c.sign is not None}
-        todo = [(c.id, 2) for c in self.crossings]
-        todo += [(cid, 1 if s == 1 else 3) for cid, s in sign.items()]
-
-        def walk() -> None:
-            while todo:
-                cid, slot = todo.pop()
-                p, q = positions[self._by_id[cid].arcs[slot]]
-                far, far_slot = q if p == (cid, slot) else p
-                if far_slot % 2 and far not in sign:
-                    sign[far] = 1 if far_slot == 3 else -1
-                    todo.append((far, far_slot ^ 2))
-
-        walk()
-        for c in self.crossings:
-            if c.id not in sign:
-                sign[c.id] = -1 if c.arcs[1] >= c.arcs[3] else 1
-                todo.append((c.id, 1 if sign[c.id] == 1 else 3))
-                walk()
-        # from a list, not a generator: a tuple grown by resizing is freed onto a free list it
-        # was not taken from, and those lists kept filling, raising the benchmark's peak RSS
-        self.crossings = tuple([Crossing(c.id, c.arcs, sign[c.id]) for c in self.crossings])
-        self._by_id = {c.id: c for c in self.crossings}
 
     # -- basic accessors ---------------------------------------------------
 

@@ -9,7 +9,7 @@ import pytest
 from sato4.braids import braid_closure
 from sato4.cli import main
 from sato4.conway import ConwayPoly, conway
-from sato4.diagram import Crossing, LinkDiagram, make_crossing, parse_pd
+from sato4.diagram import LinkDiagram, make_crossing, parse_pd
 from sato4.errors import DiagramError, PDSyntaxError
 from sato4.rewrites import add_kink, add_r2
 from sato4.search import apply_move, auto_script, enumerate_moves
@@ -260,12 +260,12 @@ def test_all_over_component_takes_the_fixed_rule_over_sequential_numbering():
         assert conway(e) == ConwayPoly.zero()
 
 
-def test_a_given_sign_directs_its_all_over_component():
-    # the fixed rule would give crossing 1 the sign -1; the walk from crossing 2's
-    # outgoing over arc reaches crossing 1 first and gives +1
-    c1, c2 = (Crossing(c.id, c.arcs) for c in parse_pd(ALL_OVER).crossings)
-    given = replace(c2, sign=-1)
-    assert LinkDiagram([c1, given]) == LinkDiagram([replace(c1, sign=1), given])
+def test_an_unsigned_crossing_is_rejected():
+    # parsing signs the code before any crossing exists; a diagram takes signed crossings only
+    c1, c2 = parse_pd(ALL_OVER).crossings
+    with pytest.raises(DiagramError) as err:
+        LinkDiagram([c1, replace(c2, sign=None)])
+    assert str(err.value) == "crossing 2 has sign None, expected +1 or -1"
 
 
 def test_operations_keep_the_direction_of_an_all_over_component():

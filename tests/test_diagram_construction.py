@@ -1,6 +1,8 @@
-"""Diagram construction: the one-pass orientation, its errors, and local R2/R3 site checks.
+"""Diagram construction: signing unsigned code, the one-pass orientation, its errors, R2/R3 sites.
 
-A test-local reference rebuilds what construction computes in the
+Unsigned code (parsed text, braid closures) is signed by ``_orient``,
+which builds each crossing once; ``LinkDiagram`` takes signed crossings
+only.  A test-local reference rebuilds what construction computes in the
 slow, obvious way (a table of each arc's two ends, the in/out role of
 every end read from the crossing's sign, the face walk one directed arc
 at a time, the pieces by a union over each arc's two crossings) and is
@@ -12,8 +14,9 @@ from dataclasses import replace
 
 import pytest
 
+from sato4.braids import braid_closure
 from sato4.corpus import load_entry
-from sato4.diagram import Crossing, LinkDiagram, make_crossing, parse_pd, union
+from sato4.diagram import Crossing, LinkDiagram, _orient, make_crossing, parse_pd, union
 from sato4.errors import DiagramError, MoveError
 from sato4.movies import run_script, smoothing_loop_linking
 from sato4.rewrites import _bigons, _r2_sides, _slidable_triangles, add_kink, add_r2, bigon_arcs, remove_r2
@@ -132,33 +135,41 @@ def test_derived_diagrams_share_untouched_crossings():
     assert all(a is b for a, b in zip(d.rebuild().crossings, d.crossings))
 
 
-# each construction error keeps its type and its message
+# each construction error keeps its type and its message; a case is (id, arcs) pairs, markers, message
 _CONSTRUCTION_ERRORS = [
-    ([Crossing(1, (1, 1, 2, 2)), Crossing(1, (3, 3, 4, 4))], (), "duplicate crossing ids"),
-    ([Crossing(1, (1, 1, 0, 0))], (), "arc identifiers must be positive integers, got 0"),
-    ([Crossing(1, (1, 1, -2, -2))], (), "arc identifiers must be positive integers, got -2"),
-    ([Crossing(1, (1, 1, "a", "a"))], (), "arc identifiers must be positive integers, got 'a'"),
-    ([Crossing(1, (1, 1, 2.0, 2.0))], (), "arc identifiers must be positive integers, got 2.0"),
-    ([Crossing(1, (1, 1, [2], [2]))], (), "arc identifiers must be positive integers, got [2]"),
-    ([Crossing(1, (1, 1, 2, 3))], (), "arc 2 appears 1 times, expected 2"),
-    ([Crossing(1, (1, 1, 2))], (), "arc 2 appears 1 times, expected 2"),
-    ([Crossing(1, (1, 1, 1, 2)), Crossing(2, (2, 3, 3, 4))], (), "arc 1 appears 3 times, expected 2"),
-    ([Crossing(1, (1, 1, 2, 2))], (3, 3), "duplicate unknot markers"),
-    ([Crossing(1, (1, 1, 2, 2))], (0,), "marker identifiers must be positive integers, got 0"),
-    ([Crossing(1, (1, 1, 2, 2))], (2,), "marker 2 collides with an arc identifier"),
+    ([(1, (1, 1, 2, 2)), (1, (3, 3, 4, 4))], (), "duplicate crossing ids"),
+    ([(1, (1, 1, 0, 0))], (), "arc identifiers must be positive integers, got 0"),
+    ([(1, (1, 1, -2, -2))], (), "arc identifiers must be positive integers, got -2"),
+    ([(1, (1, 1, "a", "a"))], (), "arc identifiers must be positive integers, got 'a'"),
+    ([(1, (1, 1, 2.0, 2.0))], (), "arc identifiers must be positive integers, got 2.0"),
+    ([(1, (1, 1, [2], [2]))], (), "arc identifiers must be positive integers, got [2]"),
+    ([(1, (1, 1, 2, 3))], (), "arc 2 appears 1 times, expected 2"),
+    ([(1, (1, 1, 2))], (), "arc 2 appears 1 times, expected 2"),
+    ([(1, (1, 1, 1, 2)), (2, (2, 3, 3, 4))], (), "arc 1 appears 3 times, expected 2"),
+    ([(1, (1, 1, 2, 2))], (3, 3), "duplicate unknot markers"),
+    ([(1, (1, 1, 2, 2))], (0,), "marker identifiers must be positive integers, got 0"),
+    ([(1, (1, 1, 2, 2))], (2,), "marker 2 collides with an arc identifier"),
     # arc 1 enters both crossings at slot 0
-    ([Crossing(1, (1, 2, 3, 4)), Crossing(2, (1, 4, 3, 2))], (), "inconsistent orientation traversal"),
+    ([(1, (1, 2, 3, 4)), (2, (1, 4, 3, 2))], (), "inconsistent orientation traversal"),
 ]
 
 
-@pytest.mark.parametrize("crossings, markers, message", _CONSTRUCTION_ERRORS)
-@pytest.mark.parametrize("signed", [False, True])
+@pytest.mark.parametrize(
+    "crossings, markers, message, signed",
+    [
+        pytest.param(*case, signed, id=f"{signed}-crossings{i}-markers{i}-{case[2]}")
+        for signed in (False, True)
+        for i, case in enumerate(_CONSTRUCTION_ERRORS)
+        if signed or case[2] != "duplicate crossing ids"  # unsigned code numbers its crossings 1..n
+    ],
+)
 def test_construction_errors_keep_their_messages(crossings, markers, message, signed):
-    # unsigned codes are oriented by propagation; signed ones by the one-pass loop alone
-    if signed:
-        crossings = [replace(c, sign=1) for c in crossings]
+    # unsigned code is signed by _orient first; signed crossings go to the one-pass loop alone
     with pytest.raises(DiagramError) as err:
-        LinkDiagram(crossings, markers)
+        if signed:
+            LinkDiagram([Crossing(cid, arcs, 1) for cid, arcs in crossings], markers)
+        else:
+            LinkDiagram(_orient([arcs for _, arcs in crossings]), markers)
     assert str(err.value) == message
 
 
@@ -179,8 +190,8 @@ def test_signs_other_than_plus_or_minus_one_are_rejected():
         LinkDiagram(doubled, d.markers)
     assert str(err.value) == f"crossing 1 has sign {doubled[0].sign}, expected +1 or -1"
     c1, c2 = d.crossings
-    with pytest.raises(DiagramError, match="has sign 0"):  # crossing 2 is signed by propagation
-        LinkDiagram([replace(c1, sign=0), Crossing(c2.id, c2.arcs)], d.markers)
+    with pytest.raises(DiagramError, match="has sign 0"):
+        LinkDiagram([replace(c1, sign=0), c2], d.markers)
 
 
 def test_signs_that_are_not_integers_are_rejected():
@@ -190,6 +201,22 @@ def test_signs_that_are_not_integers_are_rejected():
         with pytest.raises(DiagramError) as err:
             LinkDiagram([replace(c, sign=s) for c, s in zip(d.crossings, signs)], d.markers)
         assert str(err.value) == f"crossing 1 has sign {shown}, expected +1 or -1"
+
+
+def test_parsing_builds_each_crossing_once(monkeypatch, lk0_closure):
+    import sato4.diagram as diagram
+
+    trefoil = "PD[X[1,5,2,4],X[3,1,4,6],X[5,3,6,2]]"
+    codes = [trefoil, _scrambled(random.Random(4), lk0_closure).serialize()]
+    made = []
+    monkeypatch.setattr(diagram, "Crossing", lambda *a: made.append(a[0]) or Crossing(*a))
+    for code in codes:
+        made.clear()
+        d = parse_pd(code)
+        assert sorted(made) == [c.id for c in d.crossings] == list(range(1, len(d.crossings) + 1))
+    made.clear()
+    d = braid_closure([1, -2, 1, 2, -1], 3)  # make_crossing builds each once, and _orient once more
+    assert sorted(made) == sorted(2 * [c.id for c in d.crossings])
 
 
 def test_pieces_are_counted_once(monkeypatch, by_name):
