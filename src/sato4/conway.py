@@ -64,12 +64,12 @@ def conway_coefficient(d: LinkDiagram, k: int) -> int:
         return 0  # a split link, or no link at all
     if not d.crossings:
         return int(k == 0)  # one unknot marker
-    glue = dict(pair for c in d.crossings for pair in d.smoothing_pairs(c.id))
-    # arc -> (crossing it enters, entered under, next arc straight on, next arc smoothed)
+    # arc -> (crossing it enters, its sign if entered under else 0, next arc straight on, smoothed)
     step = {}
-    for arc in d.arcs:
-        cid, slot = d.head(arc)
-        step[arc] = (cid, slot == 0, d.crossing(cid).arcs[(slot + 2) % 4], glue[arc])
+    for c in d.crossings:
+        (ui, uo), (oi, oo) = d.strands(c.id)
+        step[ui] = (c.id, c.sign, uo, oo)
+        step[oi] = (c.id, 0, oo, uo)
     base = d.components[0][0]
     n_arcs = len(step)
     reached: set[int] = set()
@@ -79,16 +79,16 @@ def conway_coefficient(d: LinkDiagram, k: int) -> int:
         total = 0
         mine = []
         while arc != base or not covered:
-            cid, under, straight, glued = step[arc]
+            cid, sign, straight, glued = step[arc]
             covered += 1
             if cid in reached:
                 arc = glued if cid in smoothed else straight
                 continue
             reached.add(cid)
             mine.append(cid)
-            if under and used < k:
+            if sign and used < k:
                 smoothed.add(cid)
-                total += walk(glued, covered, used + 1, weight * d.sign(cid))
+                total += walk(glued, covered, used + 1, weight * sign)
                 smoothed.discard(cid)
             arc = straight
         reached.difference_update(mine)

@@ -131,7 +131,8 @@ def parse_pd(text: str) -> "LinkDiagram":
 
 
 def _arc_positions(crossings: Iterable[tuple[int, tuple]]) -> dict[int, list[tuple[int, int]]]:
-    """The (crossing, slot) ends of each arc of (id, arcs) pairs; raises unless it is a positive int used twice."""
+    """The (crossing, slot) ends of each arc; raises on a bad or miscounted arc or a crossing without four."""
+    crossings = list(crossings)
     positions: dict[int, list[tuple[int, int]]] = {}
     for cid, arcs in crossings:
         for slot, arc in enumerate(arcs):
@@ -141,6 +142,9 @@ def _arc_positions(crossings: Iterable[tuple[int, tuple]]) -> dict[int, list[tup
     for arc, pos in positions.items():
         if len(pos) != 2:
             raise DiagramError(f"arc {arc} appears {len(pos)} times, expected 2")
+    for cid, arcs in crossings:
+        if len(arcs) != 4:
+            raise DiagramError(f"crossing {cid} has {len(arcs)} arcs, expected 4")
     return positions
 
 
@@ -243,11 +247,10 @@ class LinkDiagram:
                 else:
                     head[b], tail[f], succ[b] = (cid, 1), (cid, 3), f
                 head[a], tail[e], succ[a] = (cid, 0), (cid, 2), e
+            # every arc has one incoming and one outgoing end, so exactly two ends
+            oriented = len(head) == len(tail) == 2 * len(self.crossings) and head.keys() == tail.keys()
         except (TypeError, ValueError):  # an unhashable arc or not four arcs: the table names it
-            _arc_positions((c.id, c.arcs) for c in self.crossings)
-            raise
-        # every arc has one incoming and one outgoing end, so exactly two ends
-        oriented = len(head) == len(tail) == 2 * len(self.crossings) and head.keys() == tail.keys()
+            oriented = False
         if not oriented or not all(isinstance(arc, int) and arc > 0 for arc in head):
             _arc_positions((c.id, c.arcs) for c in self.crossings)  # raises on a bad or miscounted arc
         if len(set(self.markers)) != len(self.markers):
@@ -464,26 +467,20 @@ class LinkDiagram:
         """The ``faces`` of at most ``longest`` sides at crossing ``cid`` (none if unknown), walked alone."""
         if cid not in self._by_id:
             return []
-        step: dict = {}
-        found = {self._face_from(start, step, longest) for start, _ in self._turns(self._by_id[cid])}
-        found.discard(None)
+        step: dict = {}  # the face steps at the crossings walked so far
+        found = set()
+        for start, _ in self._turns(self._by_id[cid]):  # one walk from each corner
+            face, da = [], start
+            while len(face) < longest:  # a face of more sides is given up
+                face.append(da)
+                if da not in step:
+                    step.update(self._turns(self._by_id[self.corner(da)[0]]))
+                da = step[da]
+                if da == start:  # closed: start it at its least directed arc, as faces does
+                    i = face.index(min(face))
+                    found.add(tuple(face[i:] + face[:i]))
+                    break
         return sorted(found)
-
-    def _face_from(self, start: tuple[int, bool], step: dict, longest: int):
-        """The face through directed arc ``start`` as ``faces`` has it, or None past ``longest`` sides.
-
-        ``step`` holds the face steps at the crossings walked so far and grows with the walk.
-        """
-        face, da = [], start
-        while len(face) < longest:
-            face.append(da)
-            if da not in step:
-                step.update(self._turns(self._by_id[self.corner(da)[0]]))
-            da = step[da]
-            if da == start:  # closed: start it at its least directed arc, as faces does
-                i = face.index(min(face))
-                return tuple(face[i:] + face[:i])
-        return None
 
     @cached_property
     def _pieces(self) -> int:

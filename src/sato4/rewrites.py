@@ -185,15 +185,6 @@ def _slidable_triangles(d: LinkDiagram, faces) -> dict[tuple[int, int, int], tup
     return out
 
 
-def _passages(d: LinkDiagram, face):
-    """For each face step i: the strand's slot pair at the two corners.
-
-    Step i's arc connects corner i-1 (departure slot) to corner i
-    (arrival slot).
-    """
-    return [(d.corner((arc, not fwd)), d.corner((arc, fwd))) for arc, fwd in face]
-
-
 def slide_r3(d: LinkDiagram, cids: tuple[int, int, int]) -> LinkDiagram:
     """R3: slide the triangle bounded by the three given crossings."""
     want = tuple(sorted(cids))
@@ -206,14 +197,13 @@ def slide_r3(d: LinkDiagram, cids: tuple[int, int, int]) -> LinkDiagram:
 
 
 def _apply_r3(d: LinkDiagram, face) -> LinkDiagram:
-    # Each of the three strands swaps the order of its two triangle
-    # crossings: exchange the in-slot contents and the out-slot contents
-    # between them.  A side's two ends are one head and one tail, so slot
-    # s1 plays the role of s2 ^ 2, and s1 ^ 2 that of s2.  Signs and
-    # over/under relations are untouched.
-    contents: dict[tuple[int, int], int] = {}
-    for (c1, s1), (c2, s2) in _passages(d, face):
-        for p1, p2 in (((c1, s1), (c2, s2 ^ 2)), ((c1, s1 ^ 2), (c2, s2))):
-            contents[p1] = d.crossing(p2[0]).arcs[p2[1]]
-            contents[p2] = d.crossing(p1[0]).arcs[p1[1]]
-    return d.rebuild(replace=contents)
+    # Each strand swaps the order of its two triangle crossings: a side s
+    # leaves its tail corner on strand first = (p, s) and enters its head
+    # corner on strand second = (s, q), and it runs back from the second
+    # corner to the first, so these become (s, q) and (p, s).  Signs stay.
+    strands = {cid: list(d.strands(cid)) for cid, _ in map(d.corner, face)}
+    for arc, _ in face:
+        (t, ts), (h, hs) = d.tail(arc), d.head(arc)  # ts and hs are odd on the over strand
+        first, second = strands[t][ts % 2], strands[h][hs % 2]
+        strands[t][ts % 2], strands[h][hs % 2] = second, first
+    return d.rebuild(remove=strands, new_crossings=[make_crossing(c, *s, d.sign(c)) for c, s in strands.items()])

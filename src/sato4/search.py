@@ -23,7 +23,7 @@ import itertools
 
 from . import rewrites
 from .diagram import LinkDiagram
-from .errors import MoveError, ScriptError
+from .errors import ScriptError
 from .movies import HomotopyScript, Move, apply_move
 
 __all__ = ["enumerate_moves", "auto_script"]
@@ -109,10 +109,7 @@ def auto_script(d: LinkDiagram, max_nodes: int = 20000) -> HomotopyScript | None
         if parent is None:
             cur = d
         else:
-            try:
-                cur = apply_move(parent, move)
-            except MoveError:
-                continue
+            cur = apply_move(parent, move)
             path += (move,)
         key = cur.canonical_encoding
         if key in seen:

@@ -9,6 +9,7 @@ at a time, the pieces by a union over each arc's two crossings) and is
 compared with every diagram the pipeline builds or switches.
 """
 
+import itertools
 import random
 from dataclasses import replace
 
@@ -19,7 +20,9 @@ from sato4.corpus import load_entry
 from sato4.diagram import Crossing, LinkDiagram, _orient, make_crossing, parse_pd, union
 from sato4.errors import DiagramError, MoveError
 from sato4.movies import run_script, smoothing_loop_linking
-from sato4.rewrites import _bigons, _r2_sides, _slidable_triangles, add_kink, add_r2, bigon_arcs, remove_r2
+from sato4.rewrites import (
+    _bigons, _r2_sides, _slidable_triangles, add_kink, add_r2, bigon_arcs, find_triangles, remove_r2, slide_r3,
+)
 from sato4.search import apply_move, auto_script, enumerate_moves
 
 from reference_skein import skein_conway, smooth
@@ -151,6 +154,9 @@ _CONSTRUCTION_ERRORS = [
     ([(1, (1, 1, 2, 2))], (2,), "marker 2 collides with an arc identifier"),
     # arc 1 enters both crossings at slot 0
     ([(1, (1, 2, 3, 4)), (2, (1, 4, 3, 2))], (), "inconsistent orientation traversal"),
+    # every arc appears twice, but the crossing has other than four slots
+    ([(1, (1, 1))], (), "crossing 1 has 2 arcs, expected 4"),
+    ([(1, (1, 1, 2, 2, 3, 3))], (), "crossing 1 has 6 arcs, expected 4"),
 ]
 
 
@@ -342,6 +348,25 @@ def test_local_site_check_picks_the_global_face(lk0_closure, corpus):
         for pair in every_bigon:  # clasps too, which enumerate_moves leaves out
             assert _bigons(d, d.faces_at(pair[1], 2))[pair] == every_bigon[pair]
     assert sites["r2_remove"] > 20 and sites["r3"] > 5
+
+
+def test_an_r3_slide_is_an_involution(lk0_closure, corpus):
+    # each side of the triangle runs back between its two corners, and nothing else changes
+    rng = random.Random(9753)
+    diagrams = _local_check_diagrams(lk0_closure, corpus) + [_scrambled(rng, lk0_closure) for _ in range(60)]
+    slides = 0
+    for d in diagrams:
+        for tri in find_triangles(d):
+            slid = slide_r3(d, tri)
+            assert slid != d and slide_r3(slid, tri) == d
+            for arc, _ in _slidable_triangles(d, d.faces)[tri]:
+                assert (slid.tail(arc)[0], slid.head(arc)[0]) == (d.head(arc)[0], d.tail(arc)[0])
+            assert [slid.sign(c.id) for c in d.crossings] == [c.sign for c in d.crossings]
+            assert slid.components == d.components and slid.markers == d.markers
+            pairs = list(itertools.combinations(range(1, d.component_count + 1), 2))
+            assert [slid.linking_number(*p) for p in pairs] == [d.linking_number(*p) for p in pairs]
+            slides += 1
+    assert slides >= 100
 
 
 def test_bigons_sharing_both_corners():

@@ -9,9 +9,9 @@ import pytest
 import sato4.search
 from sato4.braids import braid_closure
 from sato4.diagram import parse_pd
-from sato4.errors import ScriptError
+from sato4.errors import MoveError, ScriptError
 from sato4.conway import conway_coefficient
-from sato4.movies import apply_move, beta_engine, run_script
+from sato4.movies import Move, apply_move, beta_engine, run_script
 from sato4.search import _child_score, _score, auto_script, enumerate_moves
 
 WHITEHEAD_SCRIPT = {
@@ -81,6 +81,14 @@ def test_rejects_wrong_component_count():
         auto_script(parse_pd("PD[] U[1]"))
     with pytest.raises(ScriptError):
         auto_script(parse_pd("PD[X[4,1,3,2],X[2,3,1,4]]"))
+
+
+def test_a_listed_move_that_does_not_apply_raises(monkeypatch):
+    # every listed site applies, so a failing one is a broken contract, not a pruned branch
+    d = parse_pd(WHITEHEAD_SCRIPT["link"])
+    monkeypatch.setattr(sato4.search, "enumerate_moves", lambda cur: [Move("r3", crossings=(1, 2, 4))])
+    with pytest.raises(MoveError, match="no slidable triangle with corners"):
+        auto_script(d)
 
 
 def test_enumerate_moves_sites_apply():
