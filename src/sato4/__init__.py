@@ -13,8 +13,8 @@ Submodules:
 - ``movies``: validated move scripts ending at the 2-component unlink,
   self-intersection records, phi and the integer engine invariant.
 - ``search``: best-effort search for unlinking scripts.
-- ``bundle``: glued 4-manifold models, Pontryagin squares, realizability
-  and gluing checks; w2 on each torus class is the record's lambda mod 2.
+- ``bundle``: glued 4-manifold models, Pontryagin squares and gluing
+  reports; w2 on each torus class is the record's lambda mod 2.
 - ``corpus``: fixture corpus loading and sign calibration.
 - ``cli``: the ``sato4`` command line front end.
 

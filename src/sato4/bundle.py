@@ -7,10 +7,10 @@ point, the restriction of w2 to each torus class, and p1 = 0 by
 flatness.  Each class's w2 is its record's w = lambda mod 2, which the
 flat-torus lemma of the paper justifies; the lemma itself is checked by
 the tests, not here.  The Pontryagin square of the w2 vector against
-the diagonal form is then an exact sum, and the gluing identity plus
-the realizability constraint become machine checks.  Realizability is
-the Dold-Whitney condition that the square equal p1 mod 4; with p1 = 0
-it is the one test that the square vanishes.
+the diagonal form is then an exact sum, equal to phi1 - phi2 mod 4 by
+construction.  By Dold-Whitney a bundle with this w2 exists exactly
+when the square equals p1 mod 4, so with p1 = 0 the one check is that
+the square vanishes, which is phi's independence of the script.
 """
 
 from __future__ import annotations
@@ -19,13 +19,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import GluingError
-from .movies import MovieResult, phi
+from .movies import MovieResult
 
 __all__ = [
     "XLambdaModel",
     "glue_movies",
     "pontryagin_square",
-    "dold_whitney_realizable",
     "GluingReport",
     "verify_gluing",
 ]
@@ -108,45 +107,27 @@ def pontryagin_square(v: Sequence[int], form: Sequence[int]) -> int:
     return sum(x * x * d for x, d in zip(v, form)) % 4
 
 
-def dold_whitney_realizable(a: int, v: Sequence[int], form: Sequence[int]) -> bool:
-    """Whether a bundle with p1-reduction a and w2-vector v exists over the model."""
-    return a % 4 == pontryagin_square(v, form)
-
-
 @dataclass(frozen=True)
 class GluingReport:
-    """Executable content of the gluing identity for one pair of movies."""
+    """The Pontryagin square of one glued pair of movies, and the glued model."""
 
-    pontryagin: int        # Z/4 values as residues 0..3
-    delta_phi: int
-    identity_ok: bool      # pontryagin square equals phi1 - phi2
-    realizable_ok: bool    # a flat bundle (p1 = 0) with this w2 vector exists
+    pontryagin: int  # a Z/4 residue, 0..3
     model: XLambdaModel
 
     @property
     def passed(self) -> bool:
-        return self.identity_ok and self.realizable_ok
+        """Dold-Whitney with p1 = 0: a flat bundle with this w2 exists iff the square vanishes."""
+        return self.pontryagin == 0
 
     def to_json(self) -> dict:
         return {
             "pontryagin_square": self.pontryagin,
-            "delta_phi": self.delta_phi,
-            "identity_ok": self.identity_ok,
-            "realizable_ok": self.realizable_ok,
             "model": self.model.to_json(),
             "passed": self.passed,
         }
 
 
 def verify_gluing(m1: MovieResult, m2: MovieResult, e_cal: int = 1) -> GluingReport:
-    """Check the gluing identity and realizability for two movies of one link."""
+    """Glue two movies of one link and take the Pontryagin square of the model's w2."""
     model = glue_movies(m1, m2, e_cal)
-    p = pontryagin_square(model.w2_vector, model.form)
-    delta = (phi(m1, e_cal) - phi(m2, e_cal)) % 4
-    return GluingReport(
-        pontryagin=p,
-        delta_phi=delta,
-        identity_ok=p == delta,
-        realizable_ok=dold_whitney_realizable(0, model.w2_vector, model.form),
-        model=model,
-    )
+    return GluingReport(pontryagin_square(model.w2_vector, model.form), model)

@@ -17,9 +17,10 @@ each writing its keys where they apply.  Polynomials (the Seifert route
 against the smoothing sum, every coefficient) writes ``components``,
 ``conway``, ``linking_number``, ``seifert_oracle_agrees``, ``oracle``
 and ``verdict``.  Movies (phi and beta_engine of each script's movie
-against the oracle) writes ``scripts`` and ``script_independent``.
-Gluing writes ``gluing`` and, for a lone movie glued against itself,
-``gluing_note``.
+against the oracle) writes ``scripts``.  Gluing writes ``gluing``, one
+report for each pair of movies, whose verdicts together say whether phi
+is independent of the script; a fixture with fewer than two movies has
+no pair and gets no key.
 """
 
 from __future__ import annotations
@@ -215,7 +216,7 @@ def _check_polynomials(entry: CorpusEntry, s_cal: int) -> tuple[dict, list[str]]
 
 
 def _check_movies(entry: CorpusEntry, e_cal: int, oracle: int | None) -> tuple[dict, list, list]:
-    """phi and beta_engine of each script's movie against the oracle, and script independence.
+    """phi and beta_engine of each script's movie against the oracle.
 
     A script runs only at lk 0, where ``oracle`` is set.  The movies are returned too.
     """
@@ -235,22 +236,14 @@ def _check_movies(entry: CorpusEntry, e_cal: int, oracle: int | None) -> tuple[d
             failures.append(f"{entry.name}/{movie.name}: phi {sphi} != oracle mod 4 {oracle % 4}")
         if sbeta != oracle:
             failures.append(f"{entry.name}/{movie.name}: engine {sbeta} != oracle {oracle}")
-    info: dict = {"scripts": scripts}
-    if scripts:
-        phis = [s["phi"] for s in scripts.values()]
-        info["script_independent"] = len(set(phis)) == 1
-        if not info["script_independent"]:
-            failures.append(f"{entry.name}: phi differs between scripts: {phis}")
-    return info, failures, movies
+    return {"scripts": scripts}, failures, movies
 
 
 def _check_gluing(name: str, movies: list[MovieResult], e_cal: int) -> tuple[dict, list[str]]:
-    """Every pairwise gluing report; a lone movie glues against itself."""
-    pairs = list(itertools.combinations(movies, 2)) or [(m, m) for m in movies]
-    info: dict = {"gluing_note": "self-pair only"} if len(movies) == 1 else {}
+    """The gluing report of each pair of movies; fewer than two movies give no report."""
     failures = []
     gluing = []
-    for m1, m2 in pairs:
+    for m1, m2 in itertools.combinations(movies, 2):
         try:
             report = verify_gluing(m1, m2, e_cal)
         except GluingError as e:
@@ -259,9 +252,7 @@ def _check_gluing(name: str, movies: list[MovieResult], e_cal: int) -> tuple[dic
         gluing.append({"pair": [m1.name, m2.name], **report.to_json()})
         if not report.passed:
             failures.append(f"{name}: gluing report {m1.name}/{m2.name} failed")
-    if gluing:
-        info["gluing"] = gluing
-    return info, failures
+    return ({"gluing": gluing} if gluing else {}), failures
 
 
 def verify_corpus(root: Path) -> dict:

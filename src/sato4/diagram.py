@@ -135,7 +135,11 @@ def _arc_positions(crossings: Iterable[tuple[int, tuple]]) -> dict[int, list[tup
     crossings = list(crossings)
     positions: dict[int, list[tuple[int, int]]] = {}
     for cid, arcs in crossings:
-        for slot, arc in enumerate(arcs):
+        try:
+            slots = enumerate(arcs)
+        except TypeError:  # not iterable
+            raise DiagramError(f"crossing {cid} has arcs {arcs!r}, expected 4 arcs") from None
+        for slot, arc in slots:
             if not isinstance(arc, int) or arc < 1:
                 raise DiagramError(f"arc identifiers must be positive integers, got {arc!r}")
             positions.setdefault(arc, []).append((cid, slot))

@@ -5,6 +5,7 @@ import json
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -137,9 +138,32 @@ def test_verify_corpus_ok(corpus_dir):
     wh = report["fixtures"]["whitehead"]
     assert wh["oracle"] in (1, -1)
     assert wh["verdict"] == "not slice"
-    assert wh["script_independent"]
     assert all(g["passed"] for g in wh["gluing"])
-    assert report["fixtures"]["unlink2"]["gluing_note"] == "self-pair only"
+    for name in ("unlink2", "whitehead_mirror"):  # one script each: no pair to glue
+        assert len(report["fixtures"][name]["scripts"]) == 1
+        assert "gluing" not in report["fixtures"][name]
+
+
+def test_verify_reports_a_phi_disagreement_once_for_the_pair(tmp_path, corpus_dir, monkeypatch):
+    work = tmp_path / "corpus"
+    shutil.copytree(corpus_dir, work)
+    whitehead = load_entry(work / "whitehead").diagram.canonical_encoding
+    real = sato4.corpus.run_script
+
+    def corrupted(script, diagram):
+        movie = real(script, diagram)
+        if script.name != "b" or movie.initial_encoding != whitehead:
+            return movie
+        first = replace(movie.records[0], lam=movie.records[0].lam + 1)  # flips its w, so phi
+        return replace(movie, records=(first,) + movie.records[1:])
+
+    monkeypatch.setattr(sato4.corpus, "run_script", corrupted)
+    report = verify_corpus(work)
+    assert report["ok"] is False
+    assert [f for f in report["failures"] if not f.startswith("whitehead/b: ")] == [
+        "whitehead: gluing report a/b failed"
+    ]
+    assert [g["passed"] for g in report["fixtures"]["whitehead"]["gluing"]] == [False]
 
 
 def test_verify_flags_smoothing_sum_disagreeing_with_seifert_route(corpus_dir, corpus, monkeypatch):

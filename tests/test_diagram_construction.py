@@ -157,6 +157,9 @@ _CONSTRUCTION_ERRORS = [
     # every arc appears twice, but the crossing has other than four slots
     ([(1, (1, 1))], (), "crossing 1 has 2 arcs, expected 4"),
     ([(1, (1, 1, 2, 2, 3, 3))], (), "crossing 1 has 6 arcs, expected 4"),
+    # arcs that are not a sequence at all
+    ([(1, None)], (), "crossing 1 has arcs None, expected 4 arcs"),
+    ([(1, 5)], (), "crossing 1 has arcs 5, expected 4 arcs"),
 ]
 
 
