@@ -15,18 +15,18 @@ crossing.
 Orientation is the ``sign`` field of each crossing: slot 0 is incoming
 and slot 2 outgoing by convention, so the sign says which of slots 1 and
 3 is the incoming over arc.  ``make_crossing`` writes this slot template
-and the sign onto the crossing, and ``LinkDiagram.strands`` reads it
-back.  Unsigned code (parsed text, braid closures) is signed before any
-crossing exists: ``_orient`` walks each strand forward from the slots
-whose role is known and builds each crossing once, with its sign.
-``LinkDiagram`` takes signed crossings only, and derived diagrams keep
-their crossings' signs.  Construction reads the template in one pass
-over the crossings, writing each arc's head, tail and successor; a table
-of each arc's two ends is built only to sign unsigned code and to name
-the arc in an error message.  A crossing switch is the one derived
-diagram that skips this: it keeps its parent's arcs and components,
-shares every other ``Crossing``, and rewrites only the switched crossing
-and the head and tail of its four arcs.  Pieces are counted over
+and the sign onto the crossing, ``LinkDiagram.strands`` reads it back,
+and ``_lay`` writes the head and tail it gives each arc.  Unsigned code
+(parsed text, braid closures) is signed before any crossing exists:
+``_orient`` walks each strand forward from the slots whose role is known
+and builds each crossing once, with its sign.  ``LinkDiagram`` takes
+signed crossings only, and derived diagrams keep their crossings' signs.
+Construction lays every crossing in one pass, then reads each arc's
+successor at its head; a table of each arc's two ends is built only to
+sign unsigned code and to name the arc in an error message.  A crossing
+switch and an R3 slide keep every arc and its successor, so they skip
+this: ``_relaid`` keeps the parent's components, shares every other
+``Crossing``, and lays only the new crossings.  Pieces are counted over
 components when first asked for: one union per crossing, of the
 components of its two strands.
 
@@ -65,6 +65,16 @@ def make_crossing(cid: int, under: tuple[int, int], over: tuple[int, int], sign:
     """The crossing of sign ``sign`` whose strands run (in, out) along ``under`` and ``over``."""
     (ui, uo), (oi, oo) = under, over
     return Crossing(cid, (ui, oo, uo, oi) if sign > 0 else (ui, oi, uo, oo), sign)
+
+
+def _lay(c: Crossing, head: dict, tail: dict) -> None:
+    """Write the ends of c's four arcs: slot 0 in, slot 2 out, and the sign picks the incoming over slot."""
+    cid, (a, b, e, f) = c.id, c.arcs
+    head[a], tail[e] = (cid, 0), (cid, 2)
+    if c.sign > 0:
+        head[f], tail[b] = (cid, 3), (cid, 1)
+    else:
+        head[b], tail[f] = (cid, 1), (cid, 3)
 
 
 _X_TOKEN = re.compile(r"X\s*\[\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\]")
@@ -234,23 +244,15 @@ class LinkDiagram:
     def __init__(self, crossings: Iterable[Crossing], markers: Iterable[int] = ()):
         self.crossings: tuple[Crossing, ...] = tuple(sorted(crossings, key=lambda c: c.id))
         self.markers: tuple[int, ...] = tuple(sorted(markers))
-        self._by_id = {c.id: c for c in self.crossings}
+        self._by_id = by_id = {c.id: c for c in self.crossings}
         if len(self._by_id) != len(self.crossings):
             raise DiagramError("duplicate crossing ids")
-        # one pass: slot 0 in, slot 2 out, and the sign picks the incoming over slot
-        head, tail, succ = {}, {}, {}
+        head, tail = {}, {}
         try:
-            for c in self.crossings:
-                cid, sign = c.id, c.sign
-                a, b, e, f = c.arcs
-                positive = sign == 1
-                if type(sign) is not int or not (positive or sign == -1):  # True and 1.0 equal 1
-                    raise DiagramError(f"crossing {cid} has sign {sign!r}, expected +1 or -1")
-                if positive:
-                    head[f], tail[b], succ[f] = (cid, 3), (cid, 1), b
-                else:
-                    head[b], tail[f], succ[b] = (cid, 1), (cid, 3), f
-                head[a], tail[e], succ[a] = (cid, 0), (cid, 2), e
+            for c in self.crossings:  # one pass
+                if type(c.sign) is not int or c.sign not in (1, -1):  # True and 1.0 equal 1
+                    raise DiagramError(f"crossing {c.id} has sign {c.sign!r}, expected +1 or -1")
+                _lay(c, head, tail)
             # every arc has one incoming and one outgoing end, so exactly two ends
             oriented = len(head) == len(tail) == 2 * len(self.crossings) and head.keys() == tail.keys()
         except (TypeError, ValueError):  # an unhashable arc or not four arcs: the table names it
@@ -267,6 +269,8 @@ class LinkDiagram:
         if not oriented:
             raise DiagramError("inconsistent orientation traversal")
         self._head, self._tail = head, tail
+        # an arc's successor leaves the crossing at its head by the opposite slot
+        succ = {arc: by_id[cid].arcs[slot ^ 2] for arc, (cid, slot) in head.items()}
         succ.update((m, m) for m in self.markers)  # a marker is a one-element cycle
         self.components: tuple[tuple[int, ...], ...] = tuple(orbits(succ))
         self._component_of = {arc: idx for idx, cyc in enumerate(self.components, 1) for arc in cyc}
@@ -359,26 +363,25 @@ class LinkDiagram:
         """Exchange over and under strands at one crossing.
 
         Arcs, orientations and all other crossings are untouched, and the
-        sign of the crossing is negated.  The result is derived from this
-        diagram without a rebuild: it shares the components and every
-        other ``Crossing``, and rewrites only this crossing and the ends
-        of its four arcs.
+        sign of the crossing is negated.  The result is re-laid, not rebuilt.
         """
         under, over = self.strands(cid)
-        sign = -self._by_id[cid].sign
-        new = make_crossing(cid, over, under, sign)
+        return self._relaid([make_crossing(cid, over, under, -self._by_id[cid].sign)])
+
+    def _relaid(self, new_crossings: Iterable[Crossing]) -> "LinkDiagram":
+        """This diagram with the crossings of the same ids replaced by ``new_crossings``.
+
+        Each must run over the strands of the one it replaces, so the
+        components stand: only the ends of its arcs are laid again.
+        """
+        new = {c.id: c for c in new_crossings}
         out = LinkDiagram.__new__(LinkDiagram)
-        out.crossings = tuple(new if c.id == cid else c for c in self.crossings)
+        out._by_id = by_id = {**self._by_id, **new}
+        out.crossings = tuple(by_id.values())  # the same ids in the same order: sorted
         out.markers = self.markers
-        out._by_id = {**self._by_id, cid: new}
-        out._head, out._tail = head, tail = dict(self._head), dict(self._tail)
-        a, b, e, f = new.arcs  # the template __init__ reads
-        head[a], tail[e] = (cid, 0), (cid, 2)
-        if sign > 0:
-            head[f], tail[b] = (cid, 3), (cid, 1)
-        else:
-            head[b], tail[f] = (cid, 1), (cid, 3)
-        # each strand still runs from its in arc to its out arc, so the successor cycles stand
+        out._head, out._tail = dict(self._head), dict(self._tail)
+        for c in new.values():
+            _lay(c, out._head, out._tail)
         out.components, out._component_of = self.components, self._component_of
         return out
 

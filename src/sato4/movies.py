@@ -236,11 +236,9 @@ def record_self_crossing_change(
     (the loop with the smallest identifier; the other loop negates lambda
     and keeps its parity).
     """
-    lam, lam_other = smoothing_loop_linking(d, cid)
+    lam, _ = smoothing_loop_linking(d, cid)  # the two loops sum to lk(1, 2), here 0
     if d.lk0_violation:
         raise MoveError(f"crossing change refused: {d.lk0_violation}")
-    if (lam + lam_other) != 0:
-        raise MoveError("smoothing loops do not balance; inconsistent diagram")
     eps = d.sign(cid)
     s = d.strand_components(cid)[0]
     record = SelfIntersectionRecord(component=s, eps=eps, lam=lam)

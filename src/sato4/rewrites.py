@@ -15,7 +15,8 @@ first that fits in ``faces`` order, the face that listing every site with
 ``bigon_arcs`` or ``find_triangles`` (as the search does) would pick.
 ``add_r2`` takes the first face of ``faces`` that both its arcs bound.
 
-Crossings are built by :func:`sato4.diagram.make_crossing`.
+Crossings are built by :func:`sato4.diagram.make_crossing`.  A slide keeps
+every arc and its successor, so it is re-laid, as a crossing switch is.
 """
 
 from __future__ import annotations
@@ -206,4 +207,4 @@ def _apply_r3(d: LinkDiagram, face) -> LinkDiagram:
         (t, ts), (h, hs) = d.tail(arc), d.head(arc)  # ts and hs are odd on the over strand
         first, second = strands[t][ts % 2], strands[h][hs % 2]
         strands[t][ts % 2], strands[h][hs % 2] = second, first
-    return d.rebuild(remove=strands, new_crossings=[make_crossing(c, *s, d.sign(c)) for c, s in strands.items()])
+    return d._relaid(make_crossing(c, *s, d.sign(c)) for c, s in strands.items())

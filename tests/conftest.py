@@ -34,20 +34,20 @@ def shipped_calibration(corpus_dir) -> Calibration:
 
 @pytest.fixture
 def built(monkeypatch):
-    """Every LinkDiagram constructed or switched while the fixture is active."""
+    """Every LinkDiagram constructed or re-laid (switched or slid) while the fixture is active."""
     diagrams = []
-    init, switch = LinkDiagram.__init__, LinkDiagram.switch
+    init, relaid = LinkDiagram.__init__, LinkDiagram._relaid
 
     def recording(self, *args, **kwargs):
         init(self, *args, **kwargs)
         diagrams.append(self)
 
-    def recording_switch(self, cid):  # a switch derives its diagram without __init__
-        diagrams.append(switch(self, cid))
+    def recording_relaid(self, new_crossings):  # a switch or a slide derives its diagram without __init__
+        diagrams.append(relaid(self, new_crossings))
         return diagrams[-1]
 
     monkeypatch.setattr(LinkDiagram, "__init__", recording)
-    monkeypatch.setattr(LinkDiagram, "switch", recording_switch)
+    monkeypatch.setattr(LinkDiagram, "_relaid", recording_relaid)
     return diagrams
 
 

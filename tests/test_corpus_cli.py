@@ -166,6 +166,23 @@ def test_verify_reports_a_phi_disagreement_once_for_the_pair(tmp_path, corpus_di
     assert [g["passed"] for g in report["fixtures"]["whitehead"]["gluing"]] == [False]
 
 
+def test_verify_reports_one_line_per_wrong_movie(corpus_dir, monkeypatch):
+    # phi is beta_engine mod 4, so the engine line alone names a movie whose lambda is off
+    real = sato4.corpus.run_script
+
+    def corrupted(script, diagram):
+        movie = real(script, diagram)
+        if script.name != "b":
+            return movie
+        first = replace(movie.records[0], lam=movie.records[0].lam + 1)  # flips its w, so phi
+        return replace(movie, records=(first,) + movie.records[1:])
+
+    monkeypatch.setattr(sato4.corpus, "run_script", corrupted)
+    failures = verify_corpus(corpus_dir)["failures"]
+    for name in ("whitehead", "double_clasp"):
+        assert len([f for f in failures if f.startswith(f"{name}/b: ")]) == 1, failures
+
+
 def test_verify_flags_smoothing_sum_disagreeing_with_seifert_route(corpus_dir, corpus, monkeypatch):
     real = sato4.conway.conway_coefficient
     monkeypatch.setattr(sato4.conway, "conway_coefficient", lambda d, k: real(d, k) + 1)

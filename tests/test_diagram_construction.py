@@ -6,7 +6,8 @@ only.  A test-local reference rebuilds what construction computes in the
 slow, obvious way (a table of each arc's two ends, the in/out role of
 every end read from the crossing's sign, the face walk one directed arc
 at a time, the pieces by a union over each arc's two crossings) and is
-compared with every diagram the pipeline builds or switches.
+compared with every diagram the pipeline builds or re-lays (switches and
+R3 slides).
 """
 
 import itertools
@@ -250,14 +251,34 @@ def _built_afresh(d: LinkDiagram) -> LinkDiagram:
 
 
 def test_switch_derives_what_construction_builds(lk0_closure, corpus):
-    for d in _local_check_diagrams(lk0_closure, corpus):
-        for c in d.crossings:
-            switched = d.switch(c.id)
-            assert "_pieces" not in vars(switched)  # counted when asked, not carried
-            assert switched.components is d.components and "faces" not in vars(switched)
-            fresh = _built_afresh(switched)
-            assert switched.pieces() == fresh.pieces()
-            assert vars(switched) == vars(fresh), switched.serialize()
+    # switches and R3 slides are re-laid: each equals what __init__ builds from its crossings and markers
+    rng = random.Random(8642)
+    slides = 0
+    for d in _local_check_diagrams(lk0_closure, corpus) + [_scrambled(rng, lk0_closure) for _ in range(60)]:
+        triangles = find_triangles(d)
+        slides += len(triangles)
+        for derived in [d.switch(c.id) for c in d.crossings] + [slide_r3(d, tri) for tri in triangles]:
+            assert "_pieces" not in vars(derived)  # counted when asked, not carried
+            assert derived.components is d.components and "faces" not in vars(derived)
+            fresh = _built_afresh(derived)
+            assert derived.pieces() == fresh.pieces()
+            assert vars(derived) == vars(fresh), derived.serialize()
+    assert slides >= 100
+
+
+def test_a_slide_or_a_switch_makes_no_init_call(lk0_closure, corpus, monkeypatch):
+    diagrams = [d for d in _local_check_diagrams(lk0_closure, corpus) if find_triangles(d)]
+    calls = []
+    init = LinkDiagram.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LinkDiagram, "__init__", counting)
+    derived = [slide_r3(d, tri) for d in diagrams for tri in find_triangles(d)]
+    derived += [d.switch(c.id) for d in diagrams for c in d.crossings]
+    assert len(derived) > 20 and calls == []
 
 
 def test_walked_loop_linking_matches_the_smoothing(built, lk0_closure, corpus_dir, corpus):
@@ -277,7 +298,9 @@ def test_walked_loop_linking_matches_the_smoothing(built, lk0_closure, corpus_di
                 smoothed = smooth(d, c.id)
                 t = smoothed.component_of(d.components[2 - s][0])  # the other component, by one of its arcs
                 loops = [k for k in range(1, smoothed.component_count + 1) if k != t]
-                assert smoothing_loop_linking(d, c.id) == tuple(smoothed.linking_number(k, t) for k in loops)
+                pair = smoothing_loop_linking(d, c.id)
+                assert pair == tuple(smoothed.linking_number(k, t) for k in loops)
+                assert sum(pair) == 0  # the loops sum to lk(1, 2)
                 checked += 1
     assert checked > 1000
 
