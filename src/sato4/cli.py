@@ -10,13 +10,16 @@ Usage summary::
     sato4 verify DIR [--json OUT]
 
 Exit codes: 0 success, 1 failed check or invalid data, 2 usage or parse
-errors.
+errors.  A reader that closes stdout early changes neither the exit code
+nor the files a command writes.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -33,6 +36,32 @@ from .movies import HomotopyScript, phi, run_script
 
 USAGE_ERROR = 2
 CHECK_ERROR = 1
+
+
+class _Stdout:
+    """Standard output that goes quiet once its reader has closed the pipe."""
+
+    def __init__(self, stream):
+        self.stream = stream
+
+    def write(self, text: str) -> int:
+        try:
+            return self.stream.write(text)
+        except BrokenPipeError:
+            self._to_devnull()
+            return len(text)
+
+    def flush(self) -> None:
+        try:
+            self.stream.flush()
+        except BrokenPipeError:
+            self._to_devnull()
+
+    def _to_devnull(self) -> None:
+        # later writes, and the interpreter's last flush of what is still buffered, go nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, self.stream.fileno())
+        os.close(devnull)
 
 
 def _read_pd_argument(arg: str):
@@ -99,9 +128,10 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_verify(args) -> int:
     report = verify_corpus(args.corpus)
-    _print_verify_table(report)
     if args.json:
         Path(args.json).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _print_verify_table(report)
+    if args.json:
         print(f"report written to {args.json}")
     return 0 if report["ok"] else CHECK_ERROR
 
@@ -165,18 +195,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (PDSyntaxError, ScriptSyntaxError, json.JSONDecodeError, UnicodeDecodeError) as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return USAGE_ERROR
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return USAGE_ERROR
-    except Sato4Error as e:
-        print(f"error: {e}", file=sys.stderr)
-        return CHECK_ERROR
+    with contextlib.redirect_stdout(_Stdout(sys.stdout)):
+        try:
+            args = parser.parse_args(argv)  # --help writes to stdout too
+            return args.func(args)
+        except (PDSyntaxError, ScriptSyntaxError, json.JSONDecodeError, UnicodeDecodeError) as e:
+            print(f"parse error: {e}", file=sys.stderr)
+            return USAGE_ERROR
+        except OSError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return USAGE_ERROR
+        except Sato4Error as e:
+            print(f"error: {e}", file=sys.stderr)
+            return CHECK_ERROR
+        finally:
+            sys.stdout.flush()  # a buffered stdout meets a closed pipe here, not at exit
 
 
 if __name__ == "__main__":

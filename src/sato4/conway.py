@@ -1,17 +1,17 @@
-"""The Conway polynomial by the Seifert determinant, and single
+"""The Conway polynomial by the Seifert determinant, and its low
 coefficients by a sum over smoothing sets.
 
 ``conway`` answers every connected diagram through the determinant
 route of ``sato4.seifert`` in polynomial time; a split diagram gives 0.
 
-``conway_coefficient`` unrolls the descending skein
+``conway_coefficients`` unrolls the descending skein
 nabla(L+) - nabla(L-) = z nabla(L0) with one basepoint held fixed into
-a signed sum over sets of k smoothings, in the shape of the
+a signed sum over sets of at most k smoothings, in the shape of the
 Gauss-diagram formulas of Chmutov, Khoury and Rossi ("Polyak-Viro
-formulas for coefficients of the Conway polynomial", JKTR 2009).  It
-runs in polynomial time for fixed k, so the Sato-Levine oracle uses it
-for z^3, and ``sato4 verify`` checks every coefficient of the
-determinant route against it.
+formulas for coefficients of the Conway polynomial", JKTR 2009).  One
+walk gives z^0 ... z^k in polynomial time for fixed k, so the
+Sato-Levine oracle reads z^3 from it, and ``sato4 verify`` checks the
+determinant route against it in one comparison.
 
 All coefficients are exact integers.
 """
@@ -22,7 +22,7 @@ from .diagram import LinkDiagram
 from .errors import DiagramError
 from .seifert import ConwayPoly, conway_from_seifert, seifert_matrix
 
-__all__ = ["ConwayPoly", "conway", "conway_coefficient", "sato_levine_oracle"]
+__all__ = ["ConwayPoly", "conway", "conway_coefficients", "sato_levine_oracle"]
 
 
 def clear_memo() -> None:
@@ -44,8 +44,8 @@ def conway(d: LinkDiagram) -> ConwayPoly:
     return conway_from_seifert(seifert_matrix(d))
 
 
-def conway_coefficient(d: LinkDiagram, k: int) -> int:
-    """The z^k Conway coefficient, as a signed count of smoothing sets.
+def conway_coefficients(d: LinkDiagram, k: int) -> list[int]:
+    """The Conway coefficients of z^0 ... z^k, as signed counts of smoothing sets.
 
     This is the descending skein with one basepoint, the least arc of
     component 1, held fixed through every smoothing.  The walk from the
@@ -54,16 +54,16 @@ def conway_coefficient(d: LinkDiagram, k: int) -> int:
     (switched to over-first, a factor of 1).  A walk that closes before
     covering every arc leaves its component split off over the rest, so
     it counts 0; one that covers every arc ends in a descending knot,
-    which counts 1.  Only branches with exactly k smoothings reach z^k,
-    so the walk is cut at k: O(c^k) walks, shared depth first, and the
-    recursion is k + 1 deep.
+    which counts 1.  A covering branch with j smoothings counts toward
+    z^j, so the walk is cut at k: O(c^k) walks, shared depth first, and
+    the recursion is k + 1 deep.
     """
     if k < 0:
         raise ValueError("powers of z are nonnegative")
     if not d.connected():
-        return 0  # a split link, or no link at all
+        return [0] * (k + 1)  # a split link, or no link at all
     if not d.crossings:
-        return int(k == 0)  # one unknot marker
+        return [1] + [0] * k  # one unknot marker
     # arc -> (crossing it enters, its sign if entered under else 0, next arc straight on, smoothed)
     step = {}
     for c in d.crossings:
@@ -74,9 +74,9 @@ def conway_coefficient(d: LinkDiagram, k: int) -> int:
     n_arcs = len(step)
     reached: set[int] = set()
     smoothed: set[int] = set()
+    coeffs = [0] * (k + 1)
 
-    def walk(arc: int, covered: int, used: int, weight: int) -> int:
-        total = 0
+    def walk(arc: int, covered: int, used: int, weight: int) -> None:
         mine = []
         while arc != base or not covered:
             cid, sign, straight, glued = step[arc]
@@ -88,13 +88,15 @@ def conway_coefficient(d: LinkDiagram, k: int) -> int:
             mine.append(cid)
             if sign and used < k:
                 smoothed.add(cid)
-                total += walk(glued, covered, used + 1, weight * sign)
+                walk(glued, covered, used + 1, weight * sign)
                 smoothed.discard(cid)
             arc = straight
         reached.difference_update(mine)
-        return total + weight if covered == n_arcs and used == k else total
+        if covered == n_arcs:
+            coeffs[used] += weight
 
-    return walk(base, 0, 0, 1)
+    walk(base, 0, 0, 1)
+    return coeffs
 
 
 def sato_levine_oracle(d: LinkDiagram, s_cal: int = 1) -> int:
@@ -107,4 +109,4 @@ def sato_levine_oracle(d: LinkDiagram, s_cal: int = 1) -> int:
         raise ValueError("s_cal must be +1 or -1")
     if d.lk0_violation:
         raise DiagramError(d.lk0_violation)
-    return s_cal * conway_coefficient(d, 3)
+    return s_cal * conway_coefficients(d, 3)[3]

@@ -13,7 +13,7 @@ import pytest
 
 from sato4.braids import braid_closure
 from sato4.cli import main
-from sato4.conway import ConwayPoly, conway, conway_coefficient, sato_levine_oracle
+from sato4.conway import ConwayPoly, conway, conway_coefficients, sato_levine_oracle
 from sato4.diagram import LinkDiagram, parse_pd
 from sato4.errors import DiagramError
 from sato4.movies import apply_move
@@ -191,8 +191,8 @@ def test_leaves_build_no_memo_key(text, value):
 
 def _assert_sum_matches_skein(d, memo=None):
     p = skein_conway(d, memo)
-    for k in range(len(p.coeffs) + 2):
-        assert conway_coefficient(d, k) == p.coefficient(k), (k, d.serialize())
+    want = [p.coefficient(k) for k in range(len(p.coeffs) + 2)]
+    assert conway_coefficients(d, len(p.coeffs) + 1) == want, d.serialize()
 
 
 def test_smoothing_sum_matches_skein_on_corpus(corpus):
@@ -212,12 +212,12 @@ def test_smoothing_sum_matches_skein_on_corpus(corpus):
     ],
 )
 def test_smoothing_sum_small_cases(text, k, value):
-    assert conway_coefficient(parse_pd(text), k) == value
+    assert conway_coefficients(parse_pd(text), k)[k] == value
 
 
 def test_smoothing_sum_rejects_negative_power():
     with pytest.raises(ValueError):
-        conway_coefficient(parse_pd(TREFOIL), -1)
+        conway_coefficients(parse_pd(TREFOIL), -1)
 
 
 def test_smoothing_sum_matches_skein_on_built_diagrams(built, lk0_closure):
@@ -255,6 +255,20 @@ def test_smoothing_sum_matches_skein_on_closures():
                 found += 1
 
 
+def test_one_walk_gives_every_lower_coefficient(corpus):
+    # a walk cut at k completes every smoothing set of fewer than k too
+    rng = random.Random(2909)
+    diagrams = [e.diagram for e in corpus]
+    while len(diagrams) < len(corpus) + 15:
+        word = [rng.choice((1, -1)) * rng.randint(1, 3) for _ in range(rng.randint(3, 12))]
+        diagrams.append(braid_closure(word, 4))
+    for d in diagrams:
+        full = conway_coefficients(d, 7)
+        assert full == [skein_conway(d).coefficient(j) for j in range(8)], d.serialize()
+        for j in range(7):
+            assert conway_coefficients(d, j) == full[: j + 1], (j, d.serialize())
+
+
 def _relabel_cyclically(d, shift):
     ids = sorted(d.arcs)
     new = {a: ids[(i + shift) % len(ids)] for i, a in enumerate(ids)}
@@ -269,14 +283,14 @@ def test_smoothing_sum_does_not_depend_on_the_basepoint(corpus, lk0_closure):
     diagrams = [e.diagram for e in corpus if e.diagram.crossings and not e.diagram.markers]
     diagrams += [lk0_closure(rng) for _ in range(4)]
     for d in diagrams:
-        want = [conway_coefficient(d, k) for k in range(6)]
+        want = conway_coefficients(d, 5)
         basepoints = set()
         for shift in range(len(d.arcs)):
             moved = _relabel_cyclically(d, shift)
             # the same oriented diagram, the least arc elsewhere
             assert [moved.sign(c.id) for c in moved.crossings] == [d.sign(c.id) for c in d.crossings]
             basepoints.add(sorted(d.arcs)[-shift % len(d.arcs)])
-            assert [conway_coefficient(moved, k) for k in range(6)] == want, (d.serialize(), shift)
+            assert conway_coefficients(moved, 5) == want, (d.serialize(), shift)
         assert basepoints == set(d.arcs)
 
 
@@ -308,4 +322,4 @@ def test_cli_conway_40_crossings_matches_the_smoothing_sum(capsys):
     assert len(d.crossings) == 40 and d.lk0_violation is None
     assert main(["conway", d.serialize()]) == 0
     assert capsys.readouterr().out == "[0, 0, 0, -1, 0, -1]\n"
-    assert [conway_coefficient(d, k) for k in range(7)] == [0, 0, 0, -1, 0, -1, 0]
+    assert conway_coefficients(d, 6) == [0, 0, 0, -1, 0, -1, 0]

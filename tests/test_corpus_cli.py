@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -10,16 +11,19 @@ from pathlib import Path
 
 import pytest
 
-import sato4.conway
 import sato4.corpus
+from sato4.braids import braid_closure
 from sato4.cli import main
 from sato4.corpus import (
     Calibration,
+    CorpusEntry,
+    _check_polynomials,
     calibrate,
     calibrate_movies,
     load_calibration,
     load_corpus,
     load_entry,
+    save_calibration,
     verify_corpus,
 )
 from sato4.errors import CalibrationError, CorpusError, ScriptSyntaxError
@@ -183,21 +187,29 @@ def test_verify_reports_one_line_per_wrong_movie(corpus_dir, monkeypatch):
         assert len([f for f in failures if f.startswith(f"{name}/b: ")]) == 1, failures
 
 
-def test_verify_flags_smoothing_sum_disagreeing_with_seifert_route(corpus_dir, corpus, monkeypatch):
-    real = sato4.conway.conway_coefficient
-    monkeypatch.setattr(sato4.conway, "conway_coefficient", lambda d, k: real(d, k) + 1)
+def _sum_off_at(monkeypatch, power):
+    """Make verify's smoothing sum one too large at z^power."""
+    real = sato4.corpus.conway_coefficients
+    monkeypatch.setattr(
+        sato4.corpus, "conway_coefficients", lambda d, k: [c + (j == power) for j, c in enumerate(real(d, k))]
+    )
+
+
+def test_verify_flags_smoothing_sum_disagreeing_with_seifert_route(corpus_dir, by_name, monkeypatch):
+    # the one polynomial comparison covers z^3, so a wrong z^3 gives one line, not two
+    _sum_off_at(monkeypatch, 3)
     report = verify_corpus(corpus_dir)
     assert report["ok"] is False
-    lk0 = [e.name for e in corpus if e.diagram.lk0_violation is None]
-    assert "whitehead" in lk0
-    for name in lk0:
-        assert f"{name}: z^3 smoothing sum disagrees with Seifert route" in report["failures"]
+    for name in ("whitehead", "whitehead_mirror", "double_clasp"):
+        d = by_name[name].diagram
+        assert d.connected() and d.lk0_violation is None
+        assert report["failures"].count(f"{name}: Seifert-matrix Conway disagrees with smoothing sum") == 1
+    assert not any("z^3" in failure for failure in report["failures"])
 
 
 def test_verify_checks_every_coefficient_against_the_smoothing_sum(corpus_dir, corpus, monkeypatch):
-    # off at z^1 only, so the z^3 oracle still agrees
-    real = sato4.corpus.conway_coefficient
-    monkeypatch.setattr(sato4.corpus, "conway_coefficient", lambda d, k: real(d, k) + (k == 1))
+    # off at z^1 only, so the oracle read at z^3 still agrees
+    _sum_off_at(monkeypatch, 1)
     report = verify_corpus(corpus_dir)
     assert report["ok"] is False
     connected = [e.name for e in corpus if e.diagram.connected()]
@@ -206,6 +218,37 @@ def test_verify_checks_every_coefficient_against_the_smoothing_sum(corpus_dir, c
         assert report["fixtures"][name]["seifert_oracle_agrees"] is False
         assert f"{name}: Seifert-matrix Conway disagrees with smoothing sum" in report["failures"]
     assert not any("z^3" in failure for failure in report["failures"])
+
+
+def test_verify_compares_z3_when_the_polynomial_is_zero(tmp_path, corpus_dir, monkeypatch):
+    # an R2 unlink: connected, lk 0 and nabla = 0, so one past the degree is only z^0
+    fixture = tmp_path / "r2_unlink"
+    fixture.mkdir()
+    (fixture / "link.pd").write_text("PD[X[1,3,2,4], X[2,3,1,4]]\n")
+    (fixture / "meta.json").write_text(json.dumps({"components": 2, "linking_number": 0}))
+    shutil.copyfile(corpus_dir / "calibration.json", tmp_path / "calibration.json")
+    info = verify_corpus(tmp_path)["fixtures"]["r2_unlink"]
+    assert (info["conway"], info["seifert_oracle_agrees"], info["oracle"]) == ([], True, 0)
+    _sum_off_at(monkeypatch, 3)
+    report = verify_corpus(tmp_path)
+    assert report["fixtures"]["r2_unlink"]["seifert_oracle_agrees"] is False
+    assert report["failures"] == ["r2_unlink: Seifert-matrix Conway disagrees with smoothing sum"]
+
+
+def test_verify_walks_the_smoothing_sum_once_per_fixture(corpus_dir, corpus, monkeypatch):
+    seen = []
+    real = sato4.corpus.conway_coefficients
+    monkeypatch.setattr(sato4.corpus, "conway_coefficients", lambda d, k: seen.append(d) or real(d, k))
+    assert verify_corpus(corpus_dir)["ok"]
+    assert seen == [e.diagram for e in corpus]
+
+
+def test_polynomial_check_on_a_24_crossing_closure():
+    # degree 22: the one walk is cut at 23 smoothings
+    d = braid_closure([1, 2] * 12, 3)
+    info, failures = _check_polynomials(CorpusEntry("closure", d, ()), 1)
+    assert len(info["conway"]) == 23
+    assert info["seifert_oracle_agrees"] is True and failures == []
 
 
 def test_verify_is_deterministic(corpus_dir):
@@ -516,3 +559,41 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "[1]"
+
+
+def _to_closed_pipe(args, unbuffered):
+    """Run the CLI with stdout a pipe whose reader has already gone."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "sato4.cli", *args], stdout=write, stderr=subprocess.PIPE, text=True, env=env
+        )
+    finally:
+        os.close(write)
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_cli_phi_to_a_closed_pipe_is_not_an_error(corpus_dir, unbuffered):
+    script = corpus_dir / "whitehead" / "scripts" / "a.json"
+    proc = _to_closed_pipe(["phi", "--script", str(script), "--calibration", str(corpus_dir)], unbuffered)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    proc = _to_closed_pipe(["--help"], unbuffered)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_cli_verify_to_a_closed_pipe_writes_its_report(tmp_path, corpus_dir, unbuffered):
+    out = tmp_path / "report.json"
+    proc = _to_closed_pipe(["verify", str(corpus_dir), "--json", str(out)], unbuffered)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert out.read_bytes() == (GOLDEN / "verify_report.json").read_bytes()
+    # a failing verify keeps its own exit code
+    work = shutil.copytree(corpus_dir, tmp_path / "corpus")
+    save_calibration(work, Calibration(e_cal=1, s_cal=1))
+    proc = _to_closed_pipe(["verify", str(work), "--json", str(out)], unbuffered)
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert json.loads(out.read_text())["ok"] is False
