@@ -470,25 +470,6 @@ class LinkDiagram:
         return (((a, True), (f, True)), ((b, True), (a, False)),
                 ((e, False), (b, False)), ((f, False), (e, True)))
 
-    def faces_at(self, cid: int, longest: int) -> list[tuple[tuple[int, bool], ...]]:
-        """The ``faces`` of at most ``longest`` sides at crossing ``cid`` (none if unknown), walked alone."""
-        if cid not in self._by_id:
-            return []
-        step: dict = {}  # the face steps at the crossings walked so far
-        found = set()
-        for start, _ in self._turns(self._by_id[cid]):  # one walk from each corner
-            face, da = [], start
-            while len(face) < longest:  # a face of more sides is given up
-                face.append(da)
-                if da not in step:
-                    step.update(self._turns(self._by_id[self.corner(da)[0]]))
-                da = step[da]
-                if da == start:  # closed: start it at its least directed arc, as faces does
-                    i = face.index(min(face))
-                    found.add(tuple(face[i:] + face[:i]))
-                    break
-        return sorted(found)
-
     @cached_property
     def _pieces(self) -> int:
         # each crossing joins the components of its two strands; a marker's component has none
@@ -508,7 +489,13 @@ class LinkDiagram:
     # -- encodings -------------------------------------------------------------
 
     def serialize(self) -> str:
-        """Bracketed PD text; parse_pd(serialize(d)) reconstructs d."""
+        """Bracketed PD text: the quads in crossing-id order, then the markers.
+
+        ``parse_pd`` reads back the same quads and markers, but it numbers
+        the crossings 1..n and signs them again.  So it gives back d only
+        when d's ids are 1..n and each component that never passes under
+        runs the way the fixed rule of ``_orient`` orients it.
+        """
         parts = [f"X[{a},{b},{c},{d}]" for (a, b, c, d) in (x.arcs for x in self.crossings)]
         parts.extend(f"U[{m}]" for m in self.markers)
         return "PD[" + ", ".join(parts) + "]"

@@ -191,39 +191,36 @@ def _apply(d: LinkDiagram, m: Move) -> tuple[LinkDiagram, SelfIntersectionRecord
 def smoothing_loop_linking(d: LinkDiagram, cid: int) -> tuple[int, int]:
     """Linking numbers of the two smoothing loops with the other component.
 
-    Requires a 2-component diagram and a self-crossing; the loops' values
-    are opposite whenever the diagram's own linking number vanishes.
-    Ordered by the loops' smallest identifiers.
-
-    The smoothing is not built.  One walk of the crossing's component
-    from its outgoing under arc runs along the first loop up to the
-    incoming over arc, then along the second loop; each loop's linking
-    number is half the signed count of the crossings it meets whose
-    other strand lies on the other component.
+    Checked first: a self-crossing, then ``lk0_violation``.  Ordered by
+    the loops' smallest identifiers; they sum to lk(1, 2) = 0, so one
+    loop gives both.  The smoothing is not built: a walk of the component
+    from the crossing's outgoing under arc back to the crossing runs
+    along one loop, whose linking number is half the signed count of the
+    crossings it meets on the other component.  The first value is that
+    number when the loop holds the component's least arc, else minus it.
     """
-    if d.component_count != 2:
-        raise MoveError(f"need exactly 2 components, got {d.component_count}")
     if not d.is_self_crossing(cid):
         raise MoveError(
             f"crossing {cid} joins distinct components; "
             "changing it would break disc disjointness"
         )
-    other = 3 - d.strand_components(cid)[0]
-    (_, under_out), (_, over_out) = d.strands(cid)
-    loops = []
-    for arc in (under_out, over_out):  # each loop closes where the walk comes back to cid
-        least, total = arc, 0
+    if d.lk0_violation:
+        raise MoveError(f"crossing change refused: {d.lk0_violation}")
+    s = d.strand_components(cid)[0]
+    other, least = 3 - s, d.components[s - 1][0]
+    (_, arc), _ = d.strands(cid)
+    holds_least, total = arc == least, 0
+    c, slot = d.head(arc)
+    while c != cid:
+        if other in d.strand_components(c):
+            total += d.sign(c)
+        arc = d.crossing(c).arcs[(slot + 2) % 4]
+        holds_least = holds_least or arc == least
         c, slot = d.head(arc)
-        while c != cid:
-            if other in d.strand_components(c):
-                total += d.sign(c)
-            arc = d.crossing(c).arcs[(slot + 2) % 4]
-            least = min(least, arc)
-            c, slot = d.head(arc)
-        if total % 2:
-            raise DiagramError("odd inter-component crossing sum; diagram is not a closed-curve projection")
-        loops.append((least, total // 2))
-    return tuple(lam for _, lam in sorted(loops))
+    if total % 2:
+        raise DiagramError("odd inter-component crossing sum; diagram is not a closed-curve projection")
+    lam = total // 2 if holds_least else -(total // 2)
+    return lam, -lam
 
 
 def record_self_crossing_change(
@@ -231,17 +228,13 @@ def record_self_crossing_change(
 ) -> tuple[LinkDiagram, SelfIntersectionRecord]:
     """Switch a self-crossing and return the new diagram with its record.
 
-    The weight is measured in the diagram current at change time: lambda
-    is the linking number of one smoothing loop with the other component
-    (the loop with the smallest identifier; the other loop negates lambda
-    and keeps its parity).
+    ``smoothing_loop_linking`` checks the change, and its first value is
+    lambda: the linking number, in the diagram current at change time, of
+    the smoothing loop with the smallest identifier with the other
+    component (the other loop negates lambda and keeps its parity).
     """
-    lam, _ = smoothing_loop_linking(d, cid)  # the two loops sum to lk(1, 2), here 0
-    if d.lk0_violation:
-        raise MoveError(f"crossing change refused: {d.lk0_violation}")
-    eps = d.sign(cid)
-    s = d.strand_components(cid)[0]
-    record = SelfIntersectionRecord(component=s, eps=eps, lam=lam)
+    lam, _ = smoothing_loop_linking(d, cid)
+    record = SelfIntersectionRecord(component=d.strand_components(cid)[0], eps=d.sign(cid), lam=lam)
     return d.switch(cid), record
 
 

@@ -9,11 +9,11 @@ Both site rules read one level pattern (``_over_ends``): for each arc
 of the site, how many of its two ends pass over.  A bigon reduces when
 the pattern is [0, 2], a triangle slides when it is [0, 1, 2].
 
-``remove_r2`` and ``slide_r3`` check their site locally: they walk only
-the faces at one named crossing (``LinkDiagram.faces_at``) and take the
-first that fits in ``faces`` order, the face that listing every site with
-``bigon_arcs`` or ``find_triangles`` (as the search does) would pick.
-``add_r2`` takes the first face of ``faces`` that both its arcs bound.
+Every site is found in ``faces``: ``remove_r2`` and ``slide_r3`` look up
+their corners in ``bigon_arcs`` and ``_slidable_triangles``, the listings
+the search reads, which keep the first face at each set of corners.
+``add_r2`` takes the first face that both its arcs bound.  R1 and R2
+removals splice each strand they shorten with ``_bypass``.
 
 Crossings are built by :func:`sato4.diagram.make_crossing`.  A slide keeps
 every arc and its successor, so it is re-laid, as a crossing switch is.
@@ -83,8 +83,14 @@ def remove_kink(d: LinkDiagram, cid: int) -> LinkDiagram:
     loop = kink_loop(d, cid)
     if loop is None:
         raise MoveError(f"crossing {cid} is not a kink")
-    (ui, uo), (oi, oo) = d.strands(cid)
-    return d.rebuild(remove=(cid,), glue=[(oi if ui == loop else ui, uo if oo == loop else oo)])
+    return d.rebuild(remove=(cid,), glue=[_bypass(d, loop)])
+
+
+def _bypass(d: LinkDiagram, arc: int) -> tuple[int, int]:
+    """The arc entering ``arc``'s strand at its tail crossing and the arc leaving it at its head crossing."""
+    into = next(i for i, o in d.strands(d.tail(arc)[0]) if o == arc)
+    out_of = next(o for i, o in d.strands(d.head(arc)[0]) if i == arc)
+    return into, out_of
 
 
 # -- R2 ---------------------------------------------------------------------
@@ -124,12 +130,8 @@ def _r2_sides(d: LinkDiagram, x: int, y: int) -> tuple[bool, bool]:
 
 def bigon_arcs(d: LinkDiagram) -> dict[tuple[int, int], tuple[int, int]]:
     """Corner pair -> the two arcs, for the first bigon face at each pair of crossings."""
-    return _bigons(d, d.faces)
-
-
-def _bigons(d: LinkDiagram, faces) -> dict[tuple[int, int], tuple[int, int]]:
     out: dict[tuple[int, int], tuple[int, int]] = {}
-    for f in faces:
+    for f in d.faces:
         if len(f) == 2:
             c1, c2 = (d.corner(da)[0] for da in f)
             if c1 != c2:
@@ -152,19 +154,12 @@ def remove_r2(d: LinkDiagram, cid1: int, cid2: int) -> LinkDiagram:
     if cid1 == cid2:
         raise MoveError("need two distinct crossings")
     pair = (min(cid1, cid2), max(cid1, cid2))
-    bigon = _bigons(d, d.faces_at(cid1, 2)).get(pair)
+    bigon = bigon_arcs(d).get(pair)
     if bigon is None:
         raise MoveError(f"crossings {cid1},{cid2} do not cobound a bigon")
     if is_clasp(d, bigon):
         raise MoveError("bigon is a clasp, not a reducible pair")
-    glue = []
-    for arc in bigon:
-        hc, hs = d.head(arc)
-        tc, ts = d.tail(arc)
-        strand_in = d.crossing(tc).arcs[(ts + 2) % 4]
-        strand_out = d.crossing(hc).arcs[(hs + 2) % 4]
-        glue.append((strand_in, strand_out))
-    return d.rebuild(remove=pair, glue=glue)
+    return d.rebuild(remove=pair, glue=[_bypass(d, arc) for arc in bigon])
 
 
 # -- R3 ---------------------------------------------------------------------
@@ -172,13 +167,13 @@ def remove_r2(d: LinkDiagram, cid1: int, cid2: int) -> LinkDiagram:
 
 def find_triangles(d: LinkDiagram) -> list[tuple[int, int, int]]:
     """Corner triples of triangular faces admitting a slide."""
-    return sorted(_slidable_triangles(d, d.faces))
+    return sorted(_slidable_triangles(d))
 
 
-def _slidable_triangles(d: LinkDiagram, faces) -> dict[tuple[int, int, int], tuple]:
-    """Sorted corner triple -> the first of the faces with those three corners admitting a slide."""
+def _slidable_triangles(d: LinkDiagram) -> dict[tuple[int, int, int], tuple]:
+    """Sorted corner triple -> the first face with those three corners admitting a slide."""
     out: dict[tuple[int, int, int], tuple] = {}
-    for f in faces:
+    for f in d.faces:
         if len(f) == 3 and len({arc for arc, _ in f}) == 3:
             corners = tuple(sorted(d.corner(da)[0] for da in f))
             if len(set(corners)) == 3 and _over_ends(d, (arc for arc, _ in f)) == [0, 1, 2]:
@@ -191,7 +186,7 @@ def slide_r3(d: LinkDiagram, cids: tuple[int, int, int]) -> LinkDiagram:
     want = tuple(sorted(cids))
     if len(set(want)) != 3:
         raise MoveError("need three distinct crossings")
-    face = _slidable_triangles(d, d.faces_at(want[0], 3)).get(want)
+    face = _slidable_triangles(d).get(want)
     if face is None:
         raise MoveError(f"no slidable triangle with corners {want}")
     return _apply_r3(d, face)

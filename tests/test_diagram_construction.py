@@ -20,9 +20,9 @@ from sato4.braids import braid_closure
 from sato4.corpus import load_entry
 from sato4.diagram import Crossing, LinkDiagram, _orient, make_crossing, parse_pd, union
 from sato4.errors import DiagramError, MoveError
-from sato4.movies import run_script, smoothing_loop_linking
+from sato4.movies import Move, run_script, smoothing_loop_linking
 from sato4.rewrites import (
-    _bigons, _r2_sides, _slidable_triangles, add_kink, add_r2, bigon_arcs, find_triangles, remove_r2, slide_r3,
+    _apply_r3, _bypass, _r2_sides, _slidable_triangles, add_kink, add_r2, bigon_arcs, find_triangles, remove_r2, slide_r3,
 )
 from sato4.search import apply_move, auto_script, enumerate_moves
 
@@ -305,10 +305,6 @@ def test_walked_loop_linking_matches_the_smoothing(built, lk0_closure, corpus_di
     assert checked > 1000
 
 
-def _faces_with_corner(d, cid, longest):
-    return [f for f in d.faces if len(f) <= longest and cid in {d.corner(da)[0] for da in f}]
-
-
 def _local_check_diagrams(lk0_closure, corpus):
     rng = random.Random(2468)
     diagrams = [parse_pd(HOPF), parse_pd(UNLINK_R2)] + [e.diagram for e in corpus]
@@ -348,32 +344,57 @@ def test_r2_add_walks_the_face_the_full_list_picks_first(lk0_closure):
     assert pairs > 500
 
 
-def test_faces_at_a_corner_are_the_global_faces_there(lk0_closure, corpus):
-    for d in _local_check_diagrams(lk0_closure, corpus):
-        for c in d.crossings:
-            for longest in (1, 2, 3, 6):
-                assert d.faces_at(c.id, longest) == _faces_with_corner(d, c.id, longest)
-        assert d.faces_at(d.fresh_crossing_id(), 3) == []
+def _first_face(d, corners, fits):
+    """The first face of ``faces`` with exactly these sorted corners that fits, by a walk of the whole list."""
+    return next(
+        f for f in d.faces
+        if len(f) == len(corners) and tuple(sorted(d.corner(da)[0] for da in f)) == corners and fits(f)
+    )
 
 
-def test_local_site_check_picks_the_global_face(lk0_closure, corpus):
+def _slidable(d, face):
+    return len({arc for arc, _ in face}) == 3 and sorted(
+        d.head(arc)[1] % 2 + d.tail(arc)[1] % 2 for arc, _ in face
+    ) == [0, 1, 2]
+
+
+def test_every_listed_r2_and_r3_site_applies_with_its_crossings_in_any_order(lk0_closure, corpus):
     sites = {"r2_remove": 0, "r3": 0}
     for d in _local_check_diagrams(lk0_closure, corpus):
-        every_bigon = bigon_arcs(d)
-        every_triangle = _slidable_triangles(d, d.faces)
         for m in enumerate_moves(d, include_sc=False):
-            if m.kind in sites:
-                sites[m.kind] += 1
-            for cid in m.crossings:  # the check walks the faces at any one named corner
-                if m.kind == "r2_remove":
-                    pair = m.crossings
-                    assert _bigons(d, d.faces_at(cid, 2)).get(pair) == every_bigon[pair]
-                elif m.kind == "r3":
-                    tri = m.crossings
-                    assert _slidable_triangles(d, d.faces_at(cid, 3)).get(tri) == every_triangle[tri]
-        for pair in every_bigon:  # clasps too, which enumerate_moves leaves out
-            assert _bigons(d, d.faces_at(pair[1], 2))[pair] == every_bigon[pair]
+            if m.kind not in sites:
+                continue
+            want = apply_move(d, m)
+            for cids in itertools.permutations(m.crossings):
+                assert apply_move(d, Move(m.kind, crossings=cids)) == want
+            if m.kind == "r2_remove":  # the site is the first bigon at its corners in faces order
+                f = _first_face(d, m.crossings, lambda f: True)
+                assert bigon_arcs(d)[m.crossings] == (f[0][0], f[1][0])
+            else:
+                assert want == _apply_r3(d, _first_face(d, m.crossings, lambda f: _slidable(d, f)))
+            sites[m.kind] += 1
     assert sites["r2_remove"] > 20 and sites["r3"] > 5
+
+
+def test_an_r3_slide_takes_the_first_slidable_face_at_its_corners():
+    d = braid_closure([1, 1, -1], 2)
+    assert d.serialize() == "PD[X[2,3,4,1], X[3,5,6,4], X[6,5,2,1]]"
+    first, last = [f for f in d.faces if len(f) == 3]  # both have corners 1, 2 and 3, and both slide
+    assert _slidable(d, first) and _slidable(d, last)
+    assert _apply_r3(d, first) != _apply_r3(d, last)
+    for cids in itertools.permutations((1, 2, 3)):
+        assert slide_r3(d, cids) == _apply_r3(d, first)
+
+
+def test_bypass_gives_the_arc_into_the_strand_then_the_arc_out_of_it(lk0_closure, corpus):
+    # rebuild unions each glue pair, so no removal shows the order of the pair: this pins it
+    arcs = 0
+    for d in _local_check_diagrams(lk0_closure, corpus) + [parse_pd("PD[X[1,1,2,2]]")]:
+        for arc in sorted(d.arcs):
+            (tc, ts), (hc, hs) = d.tail(arc), d.head(arc)  # a strand leaves by the slot opposite its entry
+            assert _bypass(d, arc) == (d.crossing(tc).arcs[(ts + 2) % 4], d.crossing(hc).arcs[(hs + 2) % 4])
+            arcs += 1
+    assert arcs > 500
 
 
 def test_an_r3_slide_is_an_involution(lk0_closure, corpus):
@@ -385,7 +406,7 @@ def test_an_r3_slide_is_an_involution(lk0_closure, corpus):
         for tri in find_triangles(d):
             slid = slide_r3(d, tri)
             assert slid != d and slide_r3(slid, tri) == d
-            for arc, _ in _slidable_triangles(d, d.faces)[tri]:
+            for arc, _ in _slidable_triangles(d)[tri]:
                 assert (slid.tail(arc)[0], slid.head(arc)[0]) == (d.head(arc)[0], d.tail(arc)[0])
             assert [slid.sign(c.id) for c in d.crossings] == [c.sign for c in d.crossings]
             assert slid.components == d.components and slid.markers == d.markers
@@ -398,10 +419,9 @@ def test_an_r3_slide_is_an_involution(lk0_closure, corpus):
 def test_bigons_sharing_both_corners():
     # every face of these 2-crossing diagrams is a bigon at crossings 1 and 2
     hopf = parse_pd(HOPF)
-    assert hopf.faces_at(1, 2) == hopf.faces_at(2, 2) == list(hopf.faces)
     with pytest.raises(Exception, match="bigon is a clasp"):
         remove_r2(hopf, 2, 1)
     unlink = parse_pd(UNLINK_R2)
-    assert len(unlink.faces_at(1, 2)) == 4
+    assert [len(f) for f in hopf.faces + unlink.faces] == [2] * 8
     assert bigon_arcs(unlink) == {(1, 2): (1, 4)}
     assert remove_r2(unlink, 2, 1).serialize() == "PD[U[2], U[3]]"

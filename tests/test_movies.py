@@ -52,6 +52,15 @@ def test_sc_rejected_on_inter_component_crossing():
         run_script(HomotopyScript(link=HOPF, moves=(Move("sc", crossing=1),)))
 
 
+def test_sc_on_three_components_names_the_count():
+    d = apply_move(braid_closure([1, 1], 3), Move("r1_add", arc=1, sign=1))  # Hopf link with a kink, and U[3]
+    assert d.component_count == 3
+    with pytest.raises(MoveError, match="^crossing change refused: need exactly 2 components, got 3$"):
+        apply_move(d, Move("sc", crossing=3))
+    with pytest.raises(MoveError, match="disjointness"):
+        smoothing_loop_linking(d, 1)
+
+
 def test_moves_preserve_linking_number():
     d = whitehead()
     moves = [
