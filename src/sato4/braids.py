@@ -36,12 +36,10 @@ def braid_closure(word: Sequence[int], strands: int) -> LinkDiagram:
 
     # Close up: identify the final arc at each position with the initial one.
     parent: dict[int, int] = {}
-    markers = []
     for fin, ini in zip(current, initial):
-        if not union(parent, fin, ini):
-            markers.append(find(parent, fin))  # untouched strand closes into a free circle
+        union(parent, fin, ini)
+    markers = [ini for fin, ini in zip(current, initial) if fin == ini]  # an untouched strand is a circle
     # _orient signs the code as it signs parsed text: a component that never passes under may run
     # against the braid, and scrambling reads orientation, so keeping its signs changes the bench inputs
     crossings = _orient([tuple(find(parent, a) for a in c.arcs) for c in crossings])
-    markers = [m for m in markers if not any(m in c.arcs for c in crossings)]
     return LinkDiagram(crossings, markers)

@@ -40,7 +40,7 @@ def conway(d: LinkDiagram) -> ConwayPoly:
     crossingless one has the 0 x 0 matrix, whose polynomial is 1.
     """
     if not d.connected():
-        return ConwayPoly.zero()  # a split link, or no link at all
+        return ConwayPoly()  # a split link, or no link at all
     return conway_from_seifert(seifert_matrix(d))
 
 

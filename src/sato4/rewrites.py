@@ -55,25 +55,17 @@ def add_kink(d: LinkDiagram, arc: int, sign: int, over_first: bool = True) -> Li
     """
     if sign not in (1, -1):
         raise MoveError("kink sign must be +1 or -1")
-    cid = d.fresh_crossing_id()
-    if arc in d.markers:
-        loop, rest = d.fresh_arc_ids(2)
-        head_fix = {}
-        pieces = (rest, loop, rest)
-        drop = (arc,)
-    elif arc in d.arcs:
-        loop, out_piece = d.fresh_arc_ids(2)
-        head_fix = {d.head(arc): out_piece}
-        pieces = (arc, loop, out_piece)
-        drop = ()
-    else:
+    marker = arc in d.markers
+    if not marker and arc not in d.arcs:
         raise MoveError(f"no arc or marker {arc}")
-    first, loop_arc, last = pieces
-    strands = ((loop_arc, last), (first, loop_arc))  # (under, over)
+    cid = d.fresh_crossing_id()
+    loop, piece = d.fresh_arc_ids(2)  # piece: the rest of the marker circle, or the arc after the kink
+    first = piece if marker else arc
+    strands = ((loop, piece), (first, loop))  # (under, over)
     under, over = strands if over_first else strands[::-1]
     return d.rebuild(
-        replace=head_fix,
-        drop_markers=drop,
+        replace={} if marker else {d.head(arc): piece},
+        drop_markers=(arc,) if marker else (),
         new_crossings=[make_crossing(cid, under, over, sign)],
     )
 

@@ -12,15 +12,18 @@ z = x - x^{-1}.  With u = x^2 it is P(u) / x^n for the integer
 polynomial P(u) = det(u V - V^T).  P is found exactly from one integer
 determinant (fraction-free Bareiss elimination) at u = 2^B, with B
 chosen from Hadamard's bound on P over the unit circle so that the
-coefficients are the value's balanced base-2^B digits.  They come back
-as a ``ConwayPoly``, which ``sato4.conway`` re-exports.
+coefficients are the value's balanced base-2^B digits.  P is
+palindromic up to the sign (-1)^n, so the digits at x^m and x^-m pair
+into one integer times the Lucas polynomial L_m(z), and summing those
+gives the polynomial in z directly, as a ``ConwayPoly``, which
+``sato4.conway`` re-exports.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from math import comb, isqrt, prod
+from math import isqrt, prod
 
 from .diagram import LinkDiagram, orbits
 from .errors import SeifertError
@@ -46,10 +49,6 @@ class ConwayPoly:
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         return ConwayPoly(tuple(coeffs))
-
-    @staticmethod
-    def zero() -> "ConwayPoly":
-        return ConwayPoly(())
 
     def coefficient(self, k: int) -> int:
         """The z^k coefficient, 0 beyond the stored sequence."""
@@ -251,46 +250,32 @@ def conway_from_seifert(V: SeifertMatrix) -> ConwayPoly:
     inequality |P(u)| <= H = prod_i sqrt(sum_j (|V_ij| + |V_ji|)^2), and
     each coefficient, a mean of P over the unit circle, is at most H.
     N > 2H makes the digits unique, so the result is exact.
+
+    Transposing gives P(u) = (-u)^n P(1/u), so p_e = (-1)^n p_{n-e}: the
+    terms at x^m and x^-m, m = 2e - n > 0, pair into p_e L_m(z) for the
+    Lucas polynomials L_0 = 2, L_1 = z, L_m = z L_{m-1} + L_{m-2}, and the
+    x^0 term p_{n/2} joins them when n is even.
     """
     n, rows = V.size, V.rows
     H = isqrt(prod(sum((abs(rows[i][j]) + abs(rows[j][i])) ** 2 for j in range(n)) for i in range(n))) + 1
     B = (2 * H).bit_length()
     N = 1 << B
     D = _det_int([[rows[i][j] * N - rows[j][i] for j in range(n)] for i in range(n)])
-    laurent: dict[int, int] = {}
-    for e in range(n + 1):
+    p = []
+    for _ in range(n + 1):
         c = D & (N - 1)
         if c >= N >> 1:
             c -= N
-        laurent[2 * e - n] = c
+        p.append(c)
         D = (D - c) >> B
     if D:
         raise SeifertError("determinant has degree above the matrix size")
-    return laurent_to_z(laurent)
-
-
-def laurent_to_z(laurent: dict[int, int]) -> ConwayPoly:
-    """Rewrite an integer Laurent polynomial in x as a polynomial in z = x - x^{-1}.
-
-    Determinants of x V - x^{-1} V^T always convert (their x -> -x^{-1}
-    symmetry keeps the top exponent nonnegative); anything else leaving a
-    negative-exponent remainder is rejected.
-    """
-    laurent = {e: c for e, c in laurent.items() if c}
-    coeffs: dict[int, int] = {}
-    while laurent:
-        m = max(laurent)
-        c = laurent[m]
-        if m < 0:
-            raise SeifertError("substitution leaves a non-polynomial remainder; invalid Seifert matrix")
-        coeffs[m] = coeffs.get(m, 0) + c
-        for j in range(m + 1):
-            term = c * ((-1) ** j) * comb(m, j)
-            e = m - 2 * j
-            val = laurent.get(e, 0) - term
-            if val:
-                laurent[e] = val
-            else:
-                laurent.pop(e, None)
-    top = max(coeffs, default=-1)
-    return ConwayPoly.of(coeffs.get(i, 0) for i in range(top + 1))
+    top = max((2 * e - n for e, c in enumerate(p) if c), default=0)  # the degree in z
+    coeffs = [p[n // 2] if n % 2 == 0 else 0] + [0] * top
+    lower, lucas = [2], [0, 1]  # L_{m-1} and L_m, lowest power of z first
+    for m in range(1, top + 1):
+        if (n - m) % 2 == 0:
+            for k, c in enumerate(lucas):
+                coeffs[k] += p[(n + m) // 2] * c
+        lower, lucas = lucas, [a + b for a, b in zip([0] + lucas, lower + [0, 0])]  # z L_m + L_{m-1}
+    return ConwayPoly.of(coeffs)

@@ -118,7 +118,7 @@ def test_criterion_5_triviality(by_name, shipped_calibration):
     def check():
         for name in ("unlink2", "kinked_split", "trefoils_split"):
             entry = by_name[name]
-            assert conway(entry.diagram) == ConwayPoly.zero(), name
+            assert conway(entry.diagram) == ConwayPoly(), name
             assert entry.scripts, name
             for movie in _movies(entry):
                 assert phi(movie, shipped_calibration.e_cal) == 0, name

@@ -257,7 +257,7 @@ def test_all_over_component_takes_the_fixed_rule_over_sequential_numbering():
     reverse = LinkDiagram([replace(c, sign=s) for c, s in zip(d.crossings, (1, -1))])
     for e in (d, reverse):
         assert e.linking_number(1, 2) == 0
-        assert conway(e) == ConwayPoly.zero()
+        assert conway(e) == ConwayPoly()
 
 
 def test_an_unsigned_crossing_is_rejected():
